@@ -485,8 +485,9 @@ def cmd_eval(args) -> int:
         ]
         threshold = E.pick_threshold(val_scores, ev["fpr_budget"])
         agg = np.array([s.aggregate for s in multi_scores])
+        labels = np.array([s.label for s in multi_scores])
         flags = E.flagged(agg, threshold)
-        normal_mask = np.array([s.label == D.NORMAL_LABEL for s in multi_scores])
+        normal_mask = labels == D.NORMAL_LABEL
         manifest.update(
             {
                 "threshold": repr(threshold),
@@ -502,10 +503,8 @@ def cmd_eval(args) -> int:
         E.write_density_csv(os.path.join(out, "density.csv"), density_rows)
         rows = E.auc_table(multi_scores, names)
         E.write_auc_table_csv(os.path.join(out, "auc_table.csv"), rows)
-        normals = [s.aggregate for s in multi_scores if s.label == D.NORMAL_LABEL]
-        for fault in sorted({s.label for s in multi_scores if s.label != D.NORMAL_LABEL}):
-            abnormal = [s.aggregate for s in multi_scores if s.label == fault]
-            curve = E.roc_auc(normals, abnormal)
+        for fault in np.unique(labels[~normal_mask]).tolist():
+            curve = E.roc_auc(agg[normal_mask], agg[labels == fault])
             safe = fault.replace("/", "-")
             E.write_roc_csv(os.path.join(out, f"roc_{safe}.csv"), curve)
             print(f"{fault}: aggregate AUC {curve.auc:.4f}")

@@ -25,28 +25,9 @@ def _ints(raw: str) -> tuple[int, ...]:
         raise ConfigError(f"expected comma-separated integers, got {raw!r}") from exc
 
 
-def _floats(raw: str) -> tuple[float, ...]:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    try:
-        return tuple(float(part) for part in raw.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {raw!r}") from exc
-
-
 def _int_or_ints(raw: str):
     parts = _ints(raw)
     return parts[0] if len(parts) == 1 else parts
-
-
-def _bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
 # section -> key -> converter

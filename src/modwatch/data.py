@@ -603,6 +603,10 @@ def save_dataset(path, wt: WaveformTensor) -> None:
     if wt.module_ids.size and int(wt.module_ids.max()) > 0xFFFF:
         raise DataError("module ids exceed the u16 range of the file format")
     label_names = sorted(set(wt.labels.tolist()))
+    if len(label_names) > 0x100:
+        raise DataError(
+            f"{len(label_names)} label names exceed the u8 label codes of the file format"
+        )
     label_idx = {name: i for i, name in enumerate(label_names)}
     fh, owned = ser.open_maybe(path, "wb")
     try:

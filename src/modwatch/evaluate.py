@@ -125,6 +125,26 @@ def score(
     return out
 
 
+def _rank_auc(neg: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Mann-Whitney AUC of each column of ``pos`` (P, K) against the same
+    column of ``neg`` (N, K): the fraction of (abnormal, normal) pairs where
+    the abnormal sample scores higher, counting ties as one half."""
+    n, p, k = neg.shape[0], pos.shape[0], neg.shape[1]
+    if n == 0 or p == 0:
+        raise DataError("both score classes must be nonempty")
+    # dense ranks over all columns, with column j's ranks shifted past column
+    # j-1's, so one sorted array and two searches count every column apart
+    ranks = np.unique(np.concatenate([neg, pos]), return_inverse=True)[1].reshape(n + p, k)
+    keys = ranks + np.arange(k) * (int(ranks.max()) + 1)
+    neg_sorted = np.sort(keys[:n], axis=None)
+    less = np.searchsorted(neg_sorted, keys[n:], side="left")
+    ties = np.searchsorted(neg_sorted, keys[n:], side="right") - less
+    # every normal of the columns before j sorts below column j's keys
+    less -= np.arange(k) * n
+    wins = less.sum(axis=0, dtype=np.float64) + 0.5 * ties.sum(axis=0, dtype=np.float64)
+    return wins / (p * n)
+
+
 def roc_auc(normal_scores, abnormal_scores) -> RocCurve:
     """ROC curve and AUC with higher scores treated as more anomalous.
 
@@ -134,19 +154,13 @@ def roc_auc(normal_scores, abnormal_scores) -> RocCurve:
     """
     neg = np.asarray(normal_scores, dtype=np.float64).ravel()
     pos = np.asarray(abnormal_scores, dtype=np.float64).ravel()
-    if neg.size == 0 or pos.size == 0:
-        raise DataError("both score classes must be nonempty")
-
-    neg_sorted = np.sort(neg)
-    less = np.searchsorted(neg_sorted, pos, side="left")
-    less_eq = np.searchsorted(neg_sorted, pos, side="right")
-    wins = less.sum(dtype=np.float64) + 0.5 * (less_eq - less).sum(dtype=np.float64)
-    auc = float(wins / (pos.size * neg.size))
+    auc = float(_rank_auc(neg[:, None], pos[:, None])[0])
 
     sweep = np.unique(np.concatenate([neg, pos]))[::-1]
     thresholds = np.concatenate([[np.inf], sweep])
-    fpr = np.array([(neg >= t).mean() for t in thresholds])
-    tpr = np.array([(pos >= t).mean() for t in thresholds])
+    # share of each class scoring >= each threshold
+    fpr = (neg.size - np.searchsorted(np.sort(neg), thresholds, side="left")) / neg.size
+    tpr = (pos.size - np.searchsorted(np.sort(pos), thresholds, side="left")) / pos.size
     points = np.column_stack([fpr, tpr])
     return RocCurve(
         points=points,
@@ -171,9 +185,10 @@ def pick_threshold(normal_scores, fpr_budget: float) -> float:
             f"budget {fpr_budget} allows no false positives among {s.size} samples"
         )
     # count of scores >= v must be <= k; candidates are the data values
-    for v in np.unique(s):
-        if s.size - np.searchsorted(s, v, side="left") <= k:
-            return float(v)
+    candidates = np.unique(s)
+    within = np.flatnonzero(s.size - np.searchsorted(s, candidates, side="left") <= k)
+    if within.size:
+        return float(candidates[within[0]])
     return float(np.nextafter(s[-1], np.inf))
 
 
@@ -192,20 +207,22 @@ class BoxStats:
     mean: float
 
 
+def _box_rows(rows: np.ndarray) -> list[BoxStats]:
+    """Box statistics of each row of a C-contiguous (K, n) array; every
+    reduction runs along the contiguous axis, so each row's figures equal
+    those of the row taken alone."""
+    q1, med, q3 = np.percentile(rows, [25.0, 50.0, 75.0], axis=1)
+    return [
+        BoxStats(rows.shape[1], *map(float, stat))
+        for stat in zip(rows.min(axis=1), q1, med, q3, rows.max(axis=1), rows.mean(axis=1))
+    ]
+
+
 def box_stats(values) -> BoxStats:
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size == 0:
         raise DataError("cannot summarize an empty group")
-    q1, med, q3 = np.percentile(v, [25.0, 50.0, 75.0])
-    return BoxStats(
-        count=int(v.size),
-        minimum=float(v.min()),
-        q1=float(q1),
-        median=float(med),
-        q3=float(q3),
-        maximum=float(v.max()),
-        mean=float(v.mean()),
-    )
+    return _box_rows(v[None, :])[0]
 
 
 def density_counts(values) -> np.ndarray:
@@ -216,10 +233,15 @@ def density_counts(values) -> np.ndarray:
     return counts
 
 
-def _aggregate_column(scores: list[AnomalyScore], channel: int | None) -> np.ndarray:
-    if channel is None:
-        return np.array([s.aggregate for s in scores], dtype=np.float64)
-    return np.array([s.channel_mse[channel] for s in scores], dtype=np.float64)
+def _columns(scores: list[AnomalyScore]):
+    """Sample ids, module ids, labels and an (N, channels + 1) float64
+    matrix holding each sample's aggregate and then its channel scores."""
+    return (
+        np.array([s.sample_id for s in scores], dtype=np.int64),
+        np.array([s.module_id for s in scores], dtype=np.int64),
+        np.array([s.label for s in scores], dtype=str),
+        np.array([(s.aggregate, *s.channel_mse) for s in scores], dtype=np.float64),
+    )
 
 
 def summarize(
@@ -230,38 +252,34 @@ def summarize(
     mean score."""
     if not scores:
         raise DataError("no scores to summarize")
-    columns = [("aggregate", None)] + [(nm, c) for c, nm in enumerate(channel_names)]
-    modules = sorted({s.module_id for s in scores})
-    labels = sorted({s.label for s in scores})
+    _, modules, labels, values = _columns(scores)
+    names = ["aggregate", *channel_names]
 
     box_rows = []
-    for module in modules:
-        for label in labels:
-            group = [s for s in scores if s.module_id == module and s.label == label]
-            if not group:
-                continue
-            for name, ch in columns:
-                st = box_stats(_aggregate_column(group, ch))
-                box_rows.append(
-                    {
-                        "module": module,
-                        "label": label,
-                        "channel": name,
-                        "count": st.count,
-                        "min": st.minimum,
-                        "q1": st.q1,
-                        "median": st.median,
-                        "q3": st.q3,
-                        "max": st.maximum,
-                        "mean": st.mean,
-                    }
-                )
+    for module, label in sorted(set(zip(modules.tolist(), labels.tolist()))):
+        group = (modules == module) & (labels == label)
+        per_channel = np.ascontiguousarray(values[group, : len(names)].T)
+        for name, st in zip(names, _box_rows(per_channel)):
+            box_rows.append(
+                {
+                    "module": module,
+                    "label": label,
+                    "channel": name,
+                    "count": st.count,
+                    "min": st.minimum,
+                    "q1": st.q1,
+                    "median": st.median,
+                    "q3": st.q3,
+                    "max": st.maximum,
+                    "mean": st.mean,
+                }
+            )
 
     density_rows = []
-    for label in labels:
-        group = [s for s in scores if s.label == label]
-        for name, ch in columns:
-            counts = density_counts(_aggregate_column(group, ch))
+    for label in np.unique(labels).tolist():
+        group = values[labels == label]
+        for c, name in enumerate(names):
+            counts = density_counts(group[:, c])
             total = counts.sum()
             for b in range(counts.size):
                 density_rows.append(
@@ -282,30 +300,26 @@ def auc_table(
 ) -> list[dict]:
     """Per fault class: aggregate AUC pooled and per module, plus
     per-channel AUCs ranked by detection strength."""
-    normals = [s for s in scores if s.label == normal_label]
-    faults = sorted({s.label for s in scores if s.label != normal_label})
-    if not normals:
+    _, modules, labels, values = _columns(scores)
+    normal = labels == normal_label
+    if not normal.any():
         raise DataError("no normal samples to compare against")
+    names = ["aggregate", *channel_names]
     rows = []
-    for fault in faults:
-        abnormal = [s for s in scores if s.label == fault]
-        channel_rows = []
-        for name, ch in [("aggregate", None)] + [
-            (nm, c) for c, nm in enumerate(channel_names)
-        ]:
-            curve = roc_auc(
-                _aggregate_column(normals, ch), _aggregate_column(abnormal, ch)
-            )
-            channel_rows.append(
-                {
-                    "fault": fault,
-                    "module": "all",
-                    "channel": name,
-                    "auc": curve.auc,
-                    "n_normal": curve.negative_count,
-                    "n_abnormal": curve.positive_count,
-                }
-            )
+    for fault in np.unique(labels[~normal]).tolist():
+        abnormal = labels == fault
+        aucs = _rank_auc(values[normal, : len(names)], values[abnormal, : len(names)])
+        channel_rows = [
+            {
+                "fault": fault,
+                "module": "all",
+                "channel": name,
+                "auc": float(auc),
+                "n_normal": int(normal.sum()),
+                "n_abnormal": int(abnormal.sum()),
+            }
+            for name, auc in zip(names, aucs)
+        ]
         ranked = sorted(
             (r for r in channel_rows if r["channel"] != "aggregate"),
             key=lambda r: -r["auc"],
@@ -314,43 +328,32 @@ def auc_table(
         for r in channel_rows:
             r["channel_rank"] = rank_of.get(r["channel"], "")
             rows.append(r)
-        for module in sorted({s.module_id for s in abnormal}):
-            mod_norm = [s for s in normals if s.module_id == module]
-            mod_abn = [s for s in abnormal if s.module_id == module]
-            if not mod_norm:
+        for module in np.unique(modules[abnormal]).tolist():
+            mod_norm = normal & (modules == module)
+            mod_abn = abnormal & (modules == module)
+            if not mod_norm.any():
                 continue
-            curve = roc_auc(
-                _aggregate_column(mod_norm, None), _aggregate_column(mod_abn, None)
-            )
             rows.append(
                 {
                     "fault": fault,
                     "module": module,
                     "channel": "aggregate",
-                    "auc": curve.auc,
-                    "n_normal": curve.negative_count,
-                    "n_abnormal": curve.positive_count,
+                    "auc": float(_rank_auc(values[mod_norm, :1], values[mod_abn, :1])[0]),
+                    "n_normal": int(mod_norm.sum()),
+                    "n_abnormal": int(mod_abn.sum()),
                     "channel_rank": "",
                 }
             )
     return rows
 
 
-def _replica_auc_sd(
-    normals: list[AnomalyScore], abnormal: list[AnomalyScore]
-) -> float | None:
-    if any(s.replica_aggregates is None for s in normals + abnormal):
+def _replicas(scores: list[AnomalyScore]) -> np.ndarray | None:
+    """(N, n_draws) per-draw aggregates, or None when a sample has none."""
+    if not scores or any(s.replica_aggregates is None for s in scores):
         return None
-    draws = {s.replica_aggregates.size for s in normals + abnormal}
-    if len(draws) != 1:
+    if len({s.replica_aggregates.size for s in scores}) != 1:
         raise DataError("replica counts differ between samples")
-    n_draws = draws.pop()
-    aucs = np.empty(n_draws, dtype=np.float64)
-    neg = np.stack([s.replica_aggregates for s in normals])  # (N, R)
-    pos = np.stack([s.replica_aggregates for s in abnormal])
-    for r in range(n_draws):
-        aucs[r] = roc_auc(neg[:, r], pos[:, r]).auc
-    return float(aucs.std())
+    return np.stack([s.replica_aggregates for s in scores]).astype(np.float64, copy=False)
 
 
 @dataclass
@@ -371,6 +374,14 @@ class ComparisonCell:
         return self.auc_multi - self.auc_single
 
 
+def _method_auc(values, replicas, neg, pos) -> tuple[float, float | None]:
+    """Aggregate AUC of one method on one cell, and its spread over draws."""
+    auc = float(_rank_auc(values[neg, :1], values[pos, :1])[0])
+    if replicas is None:
+        return auc, None
+    return auc, float(_rank_auc(replicas[neg], replicas[pos]).std())
+
+
 def compare_methods(
     multi_scores: list[AnomalyScore],
     single_scores: dict[int, list[AnomalyScore]],
@@ -379,48 +390,33 @@ def compare_methods(
     """AUC of the multi-module model vs the per-module models on the same
     test set, one cell per (fault class, module); cells without fault or
     normal samples are marked absent (None) rather than zero."""
-    faults = sorted({s.label for s in multi_scores if s.label != normal_label})
-    modules = sorted({s.module_id for s in multi_scores})
-    by_module = {m: [s for s in multi_scores if s.module_id == m] for m in modules}
-    for m in modules:
+    ids, modules, labels, values = _columns(multi_scores)
+    replicas = _replicas(multi_scores)
+    single = {}
+    for m in np.unique(modules).tolist():
         if m not in single_scores:
             raise DataError(f"no single-module scores for module {m}")
-        multi_ids = sorted(s.sample_id for s in by_module[m])
-        single_ids = sorted(s.sample_id for s in single_scores[m])
-        if multi_ids != single_ids:
+        s_ids, _, s_labels, s_values = _columns(single_scores[m])
+        if not np.array_equal(np.sort(ids[modules == m]), np.sort(s_ids)):
             raise DataError(f"methods scored different sample sets for module {m}")
+        single[m] = s_labels, s_values, _replicas(single_scores[m])
 
     cells = []
-    for fault in faults:
-        for m in modules:
-            def _split(group):
-                neg = [s for s in group if s.label == normal_label]
-                pos = [s for s in group if s.label == fault]
-                return neg, pos
-
-            m_neg, m_pos = _split(by_module[m])
-            s_neg, s_pos = _split(single_scores[m])
-            if not m_pos or not m_neg:
-                cells.append(
-                    ComparisonCell(fault, m, len(m_neg), len(m_pos), None, None, None, None)
-                )
+    for fault in np.unique(labels[labels != normal_label]).tolist():
+        for m, (s_labels, s_values, s_replicas) in single.items():
+            neg = (modules == m) & (labels == normal_label)
+            pos = (modules == m) & (labels == fault)
+            n_neg, n_pos = int(neg.sum()), int(pos.sum())
+            if not n_pos or not n_neg:
+                cells.append(ComparisonCell(fault, m, n_neg, n_pos, None, None, None, None))
                 continue
-            auc_m = roc_auc(
-                _aggregate_column(m_neg, None), _aggregate_column(m_pos, None)
-            ).auc
-            auc_s = roc_auc(
-                _aggregate_column(s_neg, None), _aggregate_column(s_pos, None)
-            ).auc
             cells.append(
                 ComparisonCell(
-                    fault,
-                    m,
-                    len(m_neg),
-                    len(m_pos),
-                    auc_m,
-                    _replica_auc_sd(m_neg, m_pos),
-                    auc_s,
-                    _replica_auc_sd(s_neg, s_pos),
+                    fault, m, n_neg, n_pos,
+                    *_method_auc(values, replicas, neg, pos),
+                    *_method_auc(
+                        s_values, s_replicas, s_labels == normal_label, s_labels == fault
+                    ),
                 )
             )
     return cells

@@ -209,9 +209,6 @@ class LossBreakdown:
     eta: float
     total: float
 
-    def as_row(self) -> list[float]:
-        return [self.reconstruction, self.kld, self.eta, self.total]
-
 
 def _condition_tensor(spec: ModelSpec, module_ids: np.ndarray | None, batch: int) -> Tensor | None:
     if spec.mode != "cvae":

@@ -287,6 +287,19 @@ class TestWaveformFiles:
         loaded = D.load_dataset(path)
         np.testing.assert_array_equal(loaded.data, small_set.data)
 
+    @pytest.mark.parametrize("n_labels, fits", [(256, True), (257, False)])
+    def test_label_table_limited_to_u8_codes(self, small_set, tmp_path, n_labels, fits):
+        wide = small_set.select(np.arange(n_labels) % small_set.n_samples)
+        wide.labels = np.array([f"class{i}" for i in range(n_labels)])
+        path = tmp_path / "wide.mwts"
+        if fits:
+            D.save_dataset(path, wide)
+            np.testing.assert_array_equal(D.load_dataset(path).labels, wide.labels)
+            return
+        with pytest.raises(DataError, match="257 label names"):
+            D.save_dataset(path, wide)
+        assert not path.exists()
+
     def test_bad_magic_and_truncation(self, small_set, tmp_path):
         blob = D.dataset_bytes(small_set)
         bad = tmp_path / "bad.mwts"

@@ -8,6 +8,7 @@ from modwatch import data as D
 from modwatch import model as M
 from modwatch.errors import ConfigError, DataError, ShapeError
 from modwatch.evaluate import (
+    _rank_auc,
     AnomalyScore,
     auc_table,
     box_stats,
@@ -37,6 +38,32 @@ def auc_pair_oracle(neg, pos):
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def roc_sweep_oracle(neg, pos):
+    """The per-threshold sweep roc_auc used before its sort-based rewrite:
+    one pass over both classes for every distinct score."""
+    neg = np.asarray(neg, dtype=np.float64)
+    pos = np.asarray(pos, dtype=np.float64)
+    thresholds = np.concatenate([[np.inf], np.unique(np.concatenate([neg, pos]))[::-1]])
+    fpr = np.array([(neg >= t).mean() for t in thresholds])
+    tpr = np.array([(pos >= t).mean() for t in thresholds])
+    return np.column_stack([fpr, tpr]), thresholds
+
+
+def threshold_loop_oracle(normal_scores, fpr_budget):
+    """pick_threshold's candidate loop before vectorisation (valid inputs)."""
+    s = np.sort(np.asarray(normal_scores, dtype=np.float64))
+    k = int(np.floor(fpr_budget * s.size))
+    for v in np.unique(s):
+        if s.size - np.searchsorted(s, v, side="left") <= k:
+            return float(v)
+    return float(np.nextafter(s[-1], np.inf))
+
+
+# small integers scaled by a power of two: exact in floats, and heavily tied
+tied_floats = st.integers(-6, 6).map(lambda i: i / 4.0)
+any_floats = st.floats(-1e3, 1e3) | tied_floats
 
 
 def tiny_spec(mode="cvae", modules=2):
@@ -133,6 +160,34 @@ class TestRocAuc:
             return
         assert roc_auc(a, b).auc + roc_auc(b, a).auc == 1.0
 
+    @given(
+        neg=st.lists(any_floats, min_size=1, max_size=40),
+        pos=st.lists(any_floats, min_size=1, max_size=40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_threshold_sweep(self, neg, pos):
+        curve = roc_auc(neg, pos)
+        points, thresholds = roc_sweep_oracle(neg, pos)
+        assert curve.points.tobytes() == points.tobytes()
+        assert curve.thresholds.tobytes() == thresholds.tobytes()
+        assert curve.auc == auc_pair_oracle(neg, pos)
+
+    @given(
+        data=st.data(),
+        n=st.integers(1, 12),
+        p=st.integers(1, 12),
+        k=st.integers(1, 4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rank_auc_counts_pairs_per_column(self, data, n, p, k):
+        cell = st.lists(any_floats, min_size=k, max_size=k)
+        neg = np.array(data.draw(st.lists(cell, min_size=n, max_size=n)))
+        pos = np.array(data.draw(st.lists(cell, min_size=p, max_size=p)))
+        aucs = _rank_auc(neg, pos)
+        assert aucs.shape == (k,)
+        for j in range(k):
+            assert aucs[j] == auc_pair_oracle(neg[:, j], pos[:, j]), j
+
 
 class TestPickThreshold:
     def test_one_in_ten_budget(self):
@@ -172,6 +227,16 @@ class TestPickThreshold:
         for budget in (0.0, -0.1, 1.5):
             with pytest.raises(ConfigError):
                 pick_threshold(list(range(20)), budget)
+
+    @given(
+        scores=st.lists(any_floats, min_size=10, max_size=60),
+        budget=st.floats(0.01, 1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_candidate_loop(self, scores, budget):
+        if int(np.floor(budget * len(scores))) < 1:
+            return
+        assert pick_threshold(scores, budget) == threshold_loop_oracle(scores, budget)
 
     def test_all_tied_scores_flag_nothing(self):
         scores = [3.0] * 20
