@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from functools import cached_property
 
 import numpy as np
 
@@ -26,13 +27,7 @@ from .errors import (
     NumericError,
     ShapeError,
 )
-from .train import (
-    TrainConfig,
-    train,
-    train_single_module_suite,
-    write_manifest,
-    write_run_artifacts,
-)
+from .train import TrainConfig, train, train_single_module_suite, write_manifest
 from .util import sha256_file
 
 EXIT_CODES: tuple[tuple[type, int], ...] = (
@@ -231,32 +226,46 @@ def _find_stats(stats_flag, model_path) -> D.ChannelStats:
     return D.ChannelStats.load_csv(stats_flag)
 
 
-def _split_config(args, file_cfg) -> dict:
-    return C.resolve_section(file_cfg, "split", SPLIT_DEFAULTS)
+class _Splits:
+    """The ``[split]`` partition of one dataset.  Each part is standardized
+    on first read, so a command pays only for the parts it uses; without
+    given ``stats`` they are fitted on the train part."""
+
+    def __init__(self, wt: D.WaveformTensor, file_cfg: dict, stats=None):
+        self.config = C.resolve_section(file_cfg, "split", SPLIT_DEFAULTS)
+        self.names = list(wt.channel_names)
+        fractions = tuple(self.config[f"{part}_fraction"] for part in ("train", "val", "test"))
+        self._parts = D.split(wt, fractions=fractions, seed=self.config["seed"])
+        if stats is None:  # fitting standardizes the train part as well
+            self.train, stats = D.standardize(self._parts.train)
+        self.stats = stats
+
+    @cached_property
+    def train(self) -> D.WaveformTensor:
+        return D.standardize(self._parts.train, self.stats)[0]
+
+    @cached_property
+    def val_normal(self) -> D.WaveformTensor:
+        val = self._parts.validation
+        return D.standardize(val.select(val.normal_mask()), self.stats)[0]
+
+    @cached_property
+    def test(self) -> D.WaveformTensor:
+        return D.standardize(self._parts.test, self.stats)[0]
+
+    def surface(self, dataset_split: str) -> D.WaveformTensor:
+        """The part a loss surface is mapped on (``[landscape] dataset_split``)."""
+        attr = {"train": "train", "val": "val_normal", "test": "test"}.get(dataset_split)
+        if attr is None:
+            raise ConfigError(f"unknown dataset_split {dataset_split!r}")
+        return getattr(self, attr)
 
 
-def _split_and_standardize(wt, split_cfg, stats=None):
-    fractions = (
-        split_cfg["train_fraction"],
-        split_cfg["val_fraction"],
-        split_cfg["test_fraction"],
-    )
-    parts = D.split(wt, fractions=fractions, seed=split_cfg["seed"])
-    if stats is None:
-        train_std, stats = D.standardize(parts.train)
-    else:
-        train_std, _ = D.standardize(parts.train, stats)
-    val_std, _ = D.standardize(parts.validation, stats)
-    test_std, _ = D.standardize(parts.test, stats)
-    return train_std, val_std, test_std, stats
-
-
-def _model_spec(args, file_cfg, wt: D.WaveformTensor, mode: str) -> M.ModelSpec:
+def _model_spec(file_cfg, wt: D.WaveformTensor, mode: str, defaults=None,
+                preset=None) -> M.ModelSpec:
     """Architecture from preset + config; dims and module count follow the
     data unless the config pins them."""
-    section = C.resolve_section(
-        file_cfg, "model", {}, {"preset": getattr(args, "preset", None)}
-    )
+    section = C.resolve_section(file_cfg, "model", defaults or {}, {"preset": preset})
     preset = section.pop("preset", None) or "desk"
     if preset == "desk":
         base = M.desk_spec()
@@ -275,17 +284,9 @@ def _model_spec(args, file_cfg, wt: D.WaveformTensor, mode: str) -> M.ModelSpec:
     return dataclasses.replace(base, **fields).validate()
 
 
-def _train_config(args, file_cfg) -> TrainConfig:
-    overrides = {
-        "max_epochs": getattr(args, "epochs", None),
-        "batch_size": getattr(args, "batch_size", None),
-        "learning_rate": getattr(args, "learning_rate", None),
-        "eta": getattr(args, "eta", None),
-        "patience": getattr(args, "patience", None),
-    }
-    resolved = C.resolve_section(file_cfg, "train", TRAIN_DEFAULTS, overrides)
-    resolved["seed"] = C.resolve_seed(args.seed, file_cfg, "train",
-                                      default=resolved["seed"])
+def _train_config(file_cfg, seed, defaults=TRAIN_DEFAULTS, **overrides) -> TrainConfig:
+    resolved = C.resolve_section(file_cfg, "train", defaults, overrides)
+    resolved["seed"] = C.resolve_seed(seed, file_cfg, "train", default=resolved["seed"])
     return TrainConfig(**resolved).validate()
 
 
@@ -293,51 +294,204 @@ def _write_resolved(out, sections: dict) -> None:
     C.write_resolved_config(os.path.join(out, "resolved.ini"), sections)
 
 
+# -------------------------------------------------------------------- stages
+#
+# Each stage is written once and called by its subcommand and by the
+# matching ``reproduce`` experiment.
+
+
+def _generate_stage(out, file_cfg, seed, defaults=GENERATE_DEFAULTS, overrides=None):
+    """Render the ``[generate]`` dataset into ``out``; returns it with the
+    resolved section."""
+    gen = C.resolve_section(file_cfg, "generate", defaults, overrides)
+    gen["seed"] = C.resolve_seed(seed, file_cfg, "generate", default=gen["seed"])
+    wt = D.generate(
+        D.GeneratorConfig(
+            module_count=gen["modules"],
+            samples_per_module=gen["samples_per_module"],
+            time_steps=gen["time_steps"],
+            noise_sd=gen["noise_sd"],
+            amplitude_spread=gen["amplitude_spread"],
+            frequency_spread=gen["frequency_spread"],
+            fault_count=gen["faults"],
+            flatline_fraction=gen["flatline_fraction"],
+            fault_modules=gen["fault_modules"] or None,
+            seed=gen["seed"],
+        ).validate()
+    )
+    os.makedirs(out, exist_ok=True)
+    D.save_dataset(os.path.join(out, "dataset.mwts"), wt)
+    D.save_metadata_csv(os.path.join(out, "metadata.csv"), wt)
+    return wt, gen
+
+
+def _train_stage(out, spec: M.ModelSpec, parts: _Splits, tc: TrainConfig,
+                 jobs: int = 1, module=None):
+    """Train the CVAE (``spec.mode == "cvae"``) or one VAE per module (only
+    ``module`` when it is an id) into ``out``, with ``stats.csv`` beside
+    every checkpoint."""
+    os.makedirs(out, exist_ok=True)
+    parts.stats.save_csv(os.path.join(out, "stats.csv"), parts.names)
+    if spec.mode == "cvae":
+        result = train(spec, parts.train, parts.val_normal, tc, out_dir=out)
+        print(
+            f"cvae: {len(result.log.epochs)} epochs, best {result.log.best_epoch} "
+            f"(val {result.log.best_validation_total():.6g}) -> {out}"
+        )
+        return result
+    train_set, val_set = parts.train, parts.val_normal
+    if module not in (None, "all"):
+        module = int(module)
+        train_set = train_set.select(train_set.module_ids == module)
+        val_set = val_set.select(val_set.module_ids == module)
+        if train_set.n_samples == 0:
+            raise DataError(f"module {module} has no training samples")
+    results = train_single_module_suite(spec, train_set, val_set, tc, jobs=jobs, out_dir=out)
+    for m, res in sorted(results.items()):
+        parts.stats.save_csv(os.path.join(out, f"vae_module_{m}", "stats.csv"), parts.names)
+        print(
+            f"vae module {m}: best epoch {res.log.best_epoch} "
+            f"(val {res.log.best_validation_total():.6g})"
+        )
+    return results
+
+
+def _detection_stage(out, parts: _Splits, ev: dict, multi=None, singles=None):
+    """Score the test split with a multi-module model ``(spec, params)``
+    and/or per-module models ``{module: (spec, params)}``, and write the
+    detection metric CSVs.  The threshold is picked on validation normals.
+    Returns the manifest entries and the per-module scores."""
+    names = parts.names
+    draws = {"mode": ev["mode"], "n_draws": ev["n_draws"], "seed": ev["seed"],
+             "batch_size": ev["batch_size"]}
+    entries, multi_scores, single_scores = {}, None, None
+    if multi is not None:
+        spec, params = multi
+        val_scores = [
+            s.aggregate
+            for s in E.score(params, spec, parts.val_normal, batch_size=ev["batch_size"])
+        ]
+        threshold = E.pick_threshold(val_scores, ev["fpr_budget"])
+        multi_scores = E.score(params, spec, parts.test, **draws)
+        agg = np.array([s.aggregate for s in multi_scores])
+        labels = np.array([s.label for s in multi_scores])
+        flags = E.flagged(agg, threshold)
+        normal_mask = labels == D.NORMAL_LABEL
+        entries.update(
+            {
+                "threshold": repr(threshold),
+                "flagged_normal": int(flags[normal_mask].sum()),
+                "flagged_abnormal": int(flags[~normal_mask].sum()),
+                "test_normal": int(normal_mask.sum()),
+                "test_abnormal": int((~normal_mask).sum()),
+            }
+        )
+        E.write_scores_csv(os.path.join(out, "scores.csv"), multi_scores, names)
+        box_rows, density_rows = E.summarize(multi_scores, names)
+        E.write_boxstats_csv(os.path.join(out, "boxstats.csv"), box_rows)
+        E.write_density_csv(os.path.join(out, "density.csv"), density_rows)
+        rows = E.auc_table(multi_scores, names)
+        E.write_auc_table_csv(os.path.join(out, "auc_table.csv"), rows)
+        for fault in np.unique(labels[~normal_mask]).tolist():
+            curve = E.roc_auc(agg[normal_mask], agg[labels == fault])
+            safe = fault.replace("/", "-")
+            E.write_roc_csv(os.path.join(out, f"roc_{safe}.csv"), curve)
+            print(f"{fault}: aggregate AUC {curve.auc:.4f}")
+        print(f"threshold {threshold:.6g} (budget {ev['fpr_budget']})")
+
+    if singles is not None:
+        single_scores = {}
+        for module, (spec, params) in singles.items():
+            single_scores[module] = E.score(params, spec, parts.test.module_rows(module), **draws)
+            for s in single_scores[module]:
+                s.module_id = int(module)
+        if multi_scores is not None:
+            cells = E.compare_methods(multi_scores, single_scores)
+            E.write_comparison_csv(os.path.join(out, "report.csv"), cells)
+            present = [c for c in cells if c.delta is not None]
+            if present:
+                mean_delta = float(np.mean([c.delta for c in present]))
+                entries["mean_auc_delta"] = repr(mean_delta)
+                print(f"multi - single mean AUC delta {mean_delta:+.4f}")
+    return entries, single_scores
+
+
+def _depth_stage(out, spec: M.ModelSpec, parts: _Splits, tc: TrainConfig, ls: dict,
+                 jobs: int) -> None:
+    """Retrain at each ``[landscape] depths`` conv depth and write every
+    loss surface and the convexity report."""
+    sweep = L.depth_sweep(
+        ls["depths"],
+        spec,
+        parts.train,
+        parts.val_normal,
+        tc,
+        direction_seeds=(ls["gamma_seed"], ls["nu_seed"]),
+        resolution=ls["resolution"],
+        span=ls["span"],
+        surface_data=parts.surface(ls["dataset_split"]),
+        batch_size=ls["batch_size"],
+        jobs=jobs,
+    )
+    rows = []
+    for depth, res in sorted(sweep.items()):
+        tag = f"depth{depth}"
+        L.write_landscape_csv(os.path.join(out, f"landscape_{tag}.csv"), res.grid)
+        rows.append(L.convexity_row(tag, res.grid, res.report))
+        print(
+            f"depth {depth}: psd {res.report.psd_fraction:.3f} "
+            f"center {res.grid.center_loss:.6g}"
+        )
+    L.write_convexity_csv(os.path.join(out, "report.csv"), rows)
+
+
+def _calibration_stage(out, spec: M.ModelSpec, params, normals: D.WaveformTensor,
+                       examples: int, n_draws: int, seed: int, names: list,
+                       jobs: int = 1, bands: bool = True) -> list[int]:
+    """Latent-sampling replicas of ``examples`` seeded picks from
+    ``normals``, with the per-channel calibration of each module, and either
+    every pick's uncertainty bands or each module's overall calibration
+    curve.  Returns the modules covered."""
+    chosen = normals.select(U.choose_examples(normals.n_samples, examples, seed))
+    modules = sorted(set(chosen.module_ids.tolist()))
+    for module in modules:
+        subset = chosen.select(chosen.module_ids == module)
+        ids = subset.module_ids if spec.mode == "cvae" else None
+        reps = U.replicate(params, spec, subset.data, ids, n_draws=n_draws, seed=seed,
+                           jobs=jobs)
+        observed = subset.data.astype(np.float64)
+        U.write_uq_csv(
+            os.path.join(out, f"uq_{module}.csv"), names,
+            U.per_channel_calibration(reps, observed), n_draws=n_draws, seed=seed,
+        )
+        overall = U.miscalibration_area(reps, observed)
+        if bands:
+            for row, sid in enumerate(subset.sample_ids.tolist()):
+                U.write_bands_csv(os.path.join(out, f"bands_{sid}.csv"), reps, row, names)
+        else:
+            U.write_calibration_csv(os.path.join(out, f"calibration_{module}.csv"), overall)
+        print(f"module {module}: MA {overall.area:.4f} over {subset.n_samples} samples")
+    return modules
+
+
 # ------------------------------------------------------------------ generate
 
 
 def cmd_generate(args) -> int:
-    file_cfg = _file_cfg(args)
+    spm = args.samples_per_module
     overrides = {
         "modules": args.modules,
-        "samples_per_module": (
-            C._int_or_ints(args.samples_per_module)
-            if args.samples_per_module is not None
-            else None
-        ),
+        "samples_per_module": C._int_or_ints(spm) if spm is not None else None,
         "time_steps": args.time_steps,
         "faults": args.faults,
     }
-    gen = C.resolve_section(file_cfg, "generate", GENERATE_DEFAULTS, overrides)
-    seed = C.resolve_seed(args.seed, file_cfg, "generate", default=gen["seed"])
-    gen["seed"] = seed
-    cfg = D.GeneratorConfig(
-        module_count=gen["modules"],
-        samples_per_module=gen["samples_per_module"],
-        time_steps=gen["time_steps"],
-        noise_sd=gen["noise_sd"],
-        amplitude_spread=gen["amplitude_spread"],
-        frequency_spread=gen["frequency_spread"],
-        fault_count=gen["faults"],
-        flatline_fraction=gen["flatline_fraction"],
-        fault_modules=gen["fault_modules"] or None,
-        seed=seed,
-    ).validate()
-    wt = D.generate(cfg)
-
-    out = _outdir(args)
-    dataset_path = os.path.join(out, "dataset.mwts")
-    D.save_dataset(dataset_path, wt)
-    D.save_metadata_csv(os.path.join(out, "metadata.csv"), wt)
-    _write_resolved(out, {"generate": gen})
-
+    wt, gen = _generate_stage(args.out, _file_cfg(args), args.seed, overrides=overrides)
+    _write_resolved(args.out, {"generate": gen})
     for module in sorted(set(wt.module_ids.tolist())):
-        mask = wt.module_ids == module
-        labels = wt.labels[mask]
+        labels = wt.labels[wt.module_ids == module]
         normal = int((labels == D.NORMAL_LABEL).sum())
-        faulty = int((labels != D.NORMAL_LABEL).sum())
-        print(f"module {module}: {normal} normal, {faulty} fault")
-    print(f"total {wt.n_samples} samples -> {dataset_path}")
+        print(f"module {module}: {normal} normal, {labels.size - normal} fault")
+    print(f"total {wt.n_samples} samples -> {os.path.join(args.out, 'dataset.mwts')}")
     return 0
 
 
@@ -348,60 +502,23 @@ def cmd_train(args) -> int:
     file_cfg = _file_cfg(args)
     jobs = _jobs(args, file_cfg)
     wt = _load_dataset(args.data)
-    split_cfg = _split_config(args, file_cfg)
-    train_std, val_std, _, stats = _split_and_standardize(wt, split_cfg)
-    val_normal = val_std.select(val_std.normal_mask())
-    tc = _train_config(args, file_cfg)
-    spec = _model_spec(args, file_cfg, wt, args.mode)
+    parts = _Splits(wt, file_cfg)
+    tc = _train_config(
+        file_cfg, args.seed, max_epochs=args.epochs, batch_size=args.batch_size,
+        learning_rate=args.learning_rate, eta=args.eta, patience=args.patience,
+    )
+    spec = _model_spec(file_cfg, wt, args.mode, preset=args.preset)
     out = _outdir(args)
-    stats.save_csv(os.path.join(out, "stats.csv"), tuple(wt.channel_names))
     _write_resolved(
         out,
         {
             "model": spec.to_kv(),
             "train": dataclasses.asdict(tc),
-            "split": split_cfg,
+            "split": parts.config,
             "general": {"jobs": jobs},
         },
     )
-
-    if args.mode == "cvae":
-        result = train(spec, train_std, val_normal, tc, out_dir=out)
-        print(
-            f"cvae: {len(result.log.epochs)} epochs, best {result.log.best_epoch} "
-            f"(val {result.log.best_validation_total():.6g}) -> {out}"
-        )
-        return 0
-
-    if args.module in (None, "all"):
-        results = train_single_module_suite(spec, train_std, val_normal, tc, jobs=jobs)
-        for module, res in sorted(results.items()):
-            module_dir = os.path.join(out, f"vae_module_{module}")
-            tr_m = train_std.select(train_std.module_ids == module)
-            va_m = val_normal.select(val_normal.module_ids == module)
-            write_run_artifacts(module_dir, res, tc, tr_m, va_m)
-            stats.save_csv(os.path.join(module_dir, "stats.csv"), tuple(wt.channel_names))
-            print(
-                f"vae module {module}: best epoch {res.log.best_epoch} "
-                f"(val {res.log.best_validation_total():.6g})"
-            )
-        return 0
-
-    module = int(args.module)
-    single = dataclasses.replace(spec, mode="vae", module_count=1).validate()
-    tr_m = train_std.select(train_std.module_ids == module)
-    va_m = val_normal.select(val_normal.module_ids == module)
-    if tr_m.n_samples == 0:
-        raise DataError(f"module {module} has no training samples")
-    tr_m.module_ids = np.zeros_like(tr_m.module_ids)
-    va_m.module_ids = np.zeros_like(va_m.module_ids)
-    module_dir = os.path.join(out, f"vae_module_{module}")
-    result = train(single, tr_m, va_m, tc, out_dir=module_dir)
-    stats.save_csv(os.path.join(module_dir, "stats.csv"), tuple(wt.channel_names))
-    print(
-        f"vae module {module}: best epoch {result.log.best_epoch} "
-        f"(val {result.log.best_validation_total():.6g})"
-    )
+    _train_stage(out, spec, parts, tc, jobs=jobs, module=args.module)
     return 0
 
 
@@ -427,20 +544,6 @@ def _load_single_models(single_dir) -> dict[int, tuple[M.ModelSpec, M.ModelParam
     return found
 
 
-def _score_single(models, ds, mode, n_draws, seed, batch_size):
-    out = {}
-    for module, (spec, params) in models.items():
-        subset = ds.select(ds.module_ids == module)
-        subset.module_ids = np.zeros_like(subset.module_ids)
-        out[module] = E.score(
-            params, spec, subset, mode=mode, n_draws=n_draws, seed=seed,
-            batch_size=batch_size,
-        )
-        for s in out[module]:
-            s.module_id = int(module)
-    return out
-
-
 def cmd_eval(args) -> int:
     if args.multi is None and args.single_dir is None:
         raise ConfigError("give --multi and/or --single-dir")
@@ -457,79 +560,27 @@ def cmd_eval(args) -> int:
     )
     ev["seed"] = C.resolve_seed(args.seed, file_cfg, "eval", default=ev["seed"])
     wt = _load_dataset(args.data)
-    split_cfg = _split_config(args, file_cfg)
-
-    stats_source = args.multi if args.multi else args.single_dir
-    stats = _find_stats(args.stats, stats_source)
-    _, val_std, test_std, _ = _split_and_standardize(wt, split_cfg, stats=stats)
-    val_normal = val_std.select(val_std.normal_mask())
+    stats = _find_stats(args.stats, args.multi if args.multi else args.single_dir)
+    parts = _Splits(wt, file_cfg, stats)
     out = _outdir(args)
-    names = list(wt.channel_names)
-    manifest = {
-        "data": os.path.abspath(args.data),
-        "mode": ev["mode"],
-        "fpr_budget": ev["fpr_budget"],
-        "test_samples": test_std.n_samples,
-    }
-
-    multi_scores = None
-    if args.multi:
-        spec, params = load_checkpoint(_find_checkpoint(args.multi))
-        multi_scores = E.score(
-            params, spec, test_std, mode=ev["mode"], n_draws=ev["n_draws"],
-            seed=ev["seed"], batch_size=ev["batch_size"],
+    multi = load_checkpoint(_find_checkpoint(args.multi)) if args.multi else None
+    singles = _load_single_models(args.single_dir) if args.single_dir else None
+    entries, single_scores = _detection_stage(out, parts, ev, multi, singles)
+    for module, scores_m in sorted((single_scores or {}).items()):
+        E.write_scores_csv(
+            os.path.join(out, f"scores_module_{module}.csv"), scores_m, parts.names
         )
-        val_scores = [
-            s.aggregate
-            for s in E.score(params, spec, val_normal, batch_size=ev["batch_size"])
-        ]
-        threshold = E.pick_threshold(val_scores, ev["fpr_budget"])
-        agg = np.array([s.aggregate for s in multi_scores])
-        labels = np.array([s.label for s in multi_scores])
-        flags = E.flagged(agg, threshold)
-        normal_mask = labels == D.NORMAL_LABEL
-        manifest.update(
-            {
-                "threshold": repr(threshold),
-                "flagged_normal": int(flags[normal_mask].sum()),
-                "flagged_abnormal": int(flags[~normal_mask].sum()),
-                "test_normal": int(normal_mask.sum()),
-                "test_abnormal": int((~normal_mask).sum()),
-            }
-        )
-        E.write_scores_csv(os.path.join(out, "scores.csv"), multi_scores, names)
-        box_rows, density_rows = E.summarize(multi_scores, names)
-        E.write_boxstats_csv(os.path.join(out, "boxstats.csv"), box_rows)
-        E.write_density_csv(os.path.join(out, "density.csv"), density_rows)
-        rows = E.auc_table(multi_scores, names)
-        E.write_auc_table_csv(os.path.join(out, "auc_table.csv"), rows)
-        for fault in np.unique(labels[~normal_mask]).tolist():
-            curve = E.roc_auc(agg[normal_mask], agg[labels == fault])
-            safe = fault.replace("/", "-")
-            E.write_roc_csv(os.path.join(out, f"roc_{safe}.csv"), curve)
-            print(f"{fault}: aggregate AUC {curve.auc:.4f}")
-        print(f"threshold {threshold:.6g} (budget {ev['fpr_budget']})")
-
-    if args.single_dir:
-        models = _load_single_models(args.single_dir)
-        single_scores = _score_single(
-            models, test_std, ev["mode"], ev["n_draws"], ev["seed"], ev["batch_size"]
-        )
-        for module, scores_m in sorted(single_scores.items()):
-            E.write_scores_csv(
-                os.path.join(out, f"scores_module_{module}.csv"), scores_m, names
-            )
-        if multi_scores is not None:
-            cells = E.compare_methods(multi_scores, single_scores)
-            E.write_comparison_csv(os.path.join(out, "report.csv"), cells)
-            present = [c for c in cells if c.delta is not None]
-            if present:
-                mean_delta = float(np.mean([c.delta for c in present]))
-                manifest["mean_auc_delta"] = repr(mean_delta)
-                print(f"multi - single mean AUC delta {mean_delta:+.4f}")
-
-    write_manifest(os.path.join(out, "manifest.txt"), manifest)
-    _write_resolved(out, {"eval": ev, "split": split_cfg})
+    write_manifest(
+        os.path.join(out, "manifest.txt"),
+        {
+            "data": os.path.abspath(args.data),
+            "mode": ev["mode"],
+            "fpr_budget": ev["fpr_budget"],
+            "test_samples": parts.test.n_samples,
+            **entries,
+        },
+    )
+    _write_resolved(out, {"eval": ev, "split": parts.config})
     return 0
 
 
@@ -545,49 +596,19 @@ def cmd_landscape(args) -> int:
         LANDSCAPE_DEFAULTS,
         {"resolution": args.res, "span": args.span},
     )
-    tc = _train_config(args, file_cfg)
+    tc = _train_config(file_cfg, args.seed)
     wt = _load_dataset(args.data)
-    split_cfg = _split_config(args, file_cfg)
     out = _outdir(args)
 
     if args.model is None:
         raise ConfigError("give --model (checkpoint file or training out dir)")
     spec, params = load_checkpoint(_find_checkpoint(args.model))
-    stats = _find_stats(args.stats, args.model)
-    train_std, val_std, test_std, _ = _split_and_standardize(wt, split_cfg, stats=stats)
-    val_normal = val_std.select(val_std.normal_mask())
-    surface_data = {
-        "train": train_std,
-        "val": val_normal,
-        "test": test_std,
-    }.get(ls["dataset_split"])
-    if surface_data is None:
-        raise ConfigError(f"unknown dataset_split {ls['dataset_split']!r}")
+    parts = _Splits(wt, file_cfg, _find_stats(args.stats, args.model))
 
-    rows = []
     if args.depth_sweep:
-        sweep = L.depth_sweep(
-            ls["depths"],
-            spec,
-            train_std,
-            val_normal,
-            tc,
-            direction_seeds=(ls["gamma_seed"], ls["nu_seed"]),
-            resolution=ls["resolution"],
-            span=ls["span"],
-            surface_data=surface_data,
-            batch_size=ls["batch_size"],
-            jobs=jobs,
-        )
-        for depth, res in sorted(sweep.items()):
-            tag = f"depth{depth}"
-            L.write_landscape_csv(os.path.join(out, f"landscape_{tag}.csv"), res.grid)
-            rows.append(L.convexity_row(tag, res.grid, res.report))
-            print(
-                f"depth {depth}: psd {res.report.psd_fraction:.3f} "
-                f"center {res.grid.center_loss:.6g}"
-            )
+        _depth_stage(out, spec, parts, tc, ls, jobs)
     else:
+        surface_data = parts.surface(ls["dataset_split"])
         gamma = L.random_direction(params, ls["gamma_seed"], tag="gamma")
         nu = L.random_direction(params, ls["nu_seed"], tag="nu")
         grid = L.evaluate_grid(
@@ -606,17 +627,17 @@ def cmd_landscape(args) -> int:
         print(f"center loss {grid.center_loss!r}")
         if ls["resolution"] >= 5:
             report = L.convexity_report(grid)
-            rows.append(L.convexity_row("main", grid, report))
+            L.write_convexity_csv(
+                os.path.join(out, "report.csv"), [L.convexity_row("main", grid, report)]
+            )
             print(f"psd fraction {report.psd_fraction:.3f}")
 
-    if rows:
-        L.write_convexity_csv(os.path.join(out, "report.csv"), rows)
     _write_resolved(
         out,
         {
             "landscape": ls,
             "train": dataclasses.asdict(tc),
-            "split": split_cfg,
+            "split": parts.config,
             "general": {"jobs": jobs},
         },
     )
@@ -636,52 +657,58 @@ def cmd_uq(args) -> int:
     )
     uc["seed"] = C.resolve_seed(args.seed, file_cfg, "uq", default=uc["seed"])
     wt = _load_dataset(args.data)
-    split_cfg = _split_config(args, file_cfg)
     spec, params = load_checkpoint(_find_checkpoint(args.model))
-    stats = _find_stats(args.stats, args.model)
-    _, _, test_std, _ = _split_and_standardize(wt, split_cfg, stats=stats)
-    normals = test_std.select(test_std.normal_mask())
+    parts = _Splits(wt, file_cfg, _find_stats(args.stats, args.model))
+    normals = parts.test.select(parts.test.normal_mask())
     if normals.n_samples == 0:
         raise DataError("test split has no normal samples")
-    picked = U.choose_examples(normals.n_samples, uc["examples"], uc["seed"])
-    chosen = normals.select(picked)
     out = _outdir(args)
-    names = list(wt.channel_names)
-
-    overall_curves = []
-    for module in sorted(set(chosen.module_ids.tolist())):
-        subset = chosen.select(chosen.module_ids == module)
-        ids = subset.module_ids if spec.mode == "cvae" else None
-        reps = U.replicate(
-            params, spec, subset.data, ids, n_draws=uc["n_draws"], seed=uc["seed"]
-        )
-        curves = U.per_channel_calibration(reps, subset.data.astype(np.float64))
-        U.write_uq_csv(
-            os.path.join(out, f"uq_{module}.csv"), names, curves,
-            n_draws=uc["n_draws"], seed=uc["seed"],
-        )
-        overall = U.miscalibration_area(reps, subset.data.astype(np.float64))
-        overall_curves.append((module, overall))
-        for row, sid in enumerate(subset.sample_ids.tolist()):
-            U.write_bands_csv(
-                os.path.join(out, f"bands_{sid}.csv"), reps, row, names
-            )
-        print(f"module {module}: MA {overall.area:.4f} over {subset.n_samples} samples")
-
+    modules = _calibration_stage(
+        out, spec, params, normals, uc["examples"], uc["n_draws"], uc["seed"], parts.names
+    )
     write_manifest(
         os.path.join(out, "manifest.txt"),
         {
             "n_draws": uc["n_draws"],
             "examples": uc["examples"],
             "seed": uc["seed"],
-            "modules": ",".join(str(m) for m, _ in overall_curves),
+            "modules": ",".join(str(m) for m in modules),
         },
     )
-    _write_resolved(out, {"uq": uc, "split": split_cfg})
+    _write_resolved(out, {"uq": uc, "split": parts.config})
     return 0
 
 
 # ----------------------------------------------------------------- reproduce
+
+# Per-section defaults of each experiment, by scale.  They sit between the
+# built-in defaults and the config file: a config key overrides one entry.
+# Desk detection runs at the built-in defaults.
+_FULL_SIZES = {
+    "generate": {"samples_per_module": 450, "time_steps": 4500, "faults": 450},
+    "train": {"max_epochs": 300},
+    "model": {"preset": "full"},
+}
+EXPERIMENT_SIZES = {
+    "desk": {
+        "detection": {},
+        # smaller waveforms keep the six retrains tractable on a laptop
+        "depth": {
+            "generate": {"modules": 4, "samples_per_module": 24, "time_steps": 128,
+                         "faults": 0},
+            "model": {"kernels_per_block": 8, "dense_units": 32, "latent_dim": 16},
+            "train": {"max_epochs": 30, "batch_size": 8},
+            "landscape": {"resolution": 15},
+        },
+        "calibration": {
+            "generate": {"modules": 4, "samples_per_module": 40, "time_steps": 256,
+                         "faults": 0},
+            "model": {"kernels_per_block": 8, "dense_units": 64, "latent_dim": 16},
+            "train": {"max_epochs": 60, "batch_size": 8},
+        },
+    },
+    "full": dict.fromkeys(("detection", "depth", "calibration"), _FULL_SIZES),
+}
 
 
 def cmd_reproduce(args) -> int:
@@ -700,252 +727,71 @@ def cmd_reproduce(args) -> int:
         else (args.experiment,)
     )
     for name in experiments:
-        exp_dir = os.path.join(out, name)
-        os.makedirs(exp_dir, exist_ok=True)
-        runner = {
-            "detection": _reproduce_detection,
-            "depth": _reproduce_depth,
-            "calibration": _reproduce_calibration,
-        }[name]
         print(f"== {name} ({args.scale}) ==")
-        runner(exp_dir, seed, jobs, args.scale, file_cfg)
+        sizes = EXPERIMENT_SIZES[args.scale][name]
+
+        def sized(section, defaults):
+            return {**defaults, **sizes.get(section, {})}
+
+        exp_dir = os.path.join(out, name)
+        wt, gen = _generate_stage(
+            os.path.join(exp_dir, "data"), file_cfg, seed, sized("generate", GENERATE_DEFAULTS)
+        )
+        parts = _Splits(wt, file_cfg)
+        tc = _train_config(file_cfg, seed, sized("train", TRAIN_DEFAULTS))
+        spec = _model_spec(file_cfg, wt, "cvae", sized("model", {}))
+        resolved = {"generate": gen, "split": parts.config, "train": dataclasses.asdict(tc)}
+        if name == "detection":
+            resolved["eval"] = C.resolve_section(file_cfg, "eval", sized("eval", EVAL_DEFAULTS))
+            _reproduce_detection(exp_dir, spec, parts, tc, resolved["eval"], seed, jobs)
+        elif name == "depth":
+            ls = C.resolve_section(file_cfg, "landscape", sized("landscape", LANDSCAPE_DEFAULTS))
+            _depth_stage(exp_dir, spec, parts, tc, ls, jobs)
+            resolved["landscape"] = ls
+        else:
+            uc = C.resolve_section(file_cfg, "uq", sized("uq", UQ_DEFAULTS))
+            model = _train_stage(os.path.join(exp_dir, "model"), spec, parts, tc)
+            normals = parts.test.select(parts.test.normal_mask())
+            _calibration_stage(
+                exp_dir, spec, model.params, normals, min(uc["examples"], normals.n_samples),
+                uc["n_draws"], seed, parts.names, jobs=jobs, bands=False,
+            )
+            resolved["uq"] = uc
+        _write_resolved(exp_dir, resolved)
     _write_repro_manifest(out)
     print(f"bundle complete -> {out}")
     return 0
 
 
-def _repro_sizes(scale: str, file_cfg: dict) -> dict:
-    """Experiment sizing; the config file can override the generate and
-    train sections for smaller smoke runs."""
-    if scale == "full":
-        gen = {"modules": 15, "samples_per_module": 450, "time_steps": 4500,
-               "faults": 450}
-        train_kv = {"max_epochs": 300, "batch_size": 16}
-        model_kv = {"preset": "full"}
-    else:
-        gen = {"modules": 15, "samples_per_module": 40, "time_steps": 512,
-               "faults": 150}
-        train_kv = {"max_epochs": 100, "batch_size": 16}
-        model_kv = {"preset": "desk"}
-    gen = C.resolve_section(file_cfg, "generate", {**GENERATE_DEFAULTS, **gen})
-    train_kv = C.resolve_section(file_cfg, "train", {**TRAIN_DEFAULTS, **train_kv})
-    model_kv = {"preset": model_kv["preset"], **file_cfg.get("model", {})}
-    return {"generate": gen, "train": train_kv, "model": model_kv}
-
-
-def _repro_data(exp_dir, seed, sizes):
-    gen = dict(sizes["generate"])
-    gen["seed"] = seed
-    cfg = D.GeneratorConfig(
-        module_count=gen["modules"],
-        samples_per_module=gen["samples_per_module"],
-        time_steps=gen["time_steps"],
-        noise_sd=gen["noise_sd"],
-        amplitude_spread=gen["amplitude_spread"],
-        frequency_spread=gen["frequency_spread"],
-        fault_count=gen["faults"],
-        flatline_fraction=gen["flatline_fraction"],
-        fault_modules=gen["fault_modules"] or None,
-        seed=seed,
-    ).validate()
-    wt = D.generate(cfg)
-    data_dir = os.path.join(exp_dir, "data")
-    os.makedirs(data_dir, exist_ok=True)
-    D.save_dataset(os.path.join(data_dir, "dataset.mwts"), wt)
-    D.save_metadata_csv(os.path.join(data_dir, "metadata.csv"), wt)
-    return wt, gen
-
-
-def _repro_spec(wt, sizes, mode):
-    preset = sizes["model"].get("preset", "desk")
-    base = M.full_spec() if preset == "full" else M.desk_spec()
-    fields = {
-        "mode": mode,
-        "time_steps": wt.data.shape[1],
-        "channels": wt.data.shape[2],
-        "module_count": int(wt.module_ids.max()) + 1,
-    }
-    for key, raw in sizes["model"].items():
-        if key == "preset":
-            continue
-        fields[key] = int(raw) if key != "mode" else raw
-    fields["mode"] = mode
-    return dataclasses.replace(base, **fields).validate()
-
-
-def _repro_train_config(sizes, seed) -> TrainConfig:
-    kv = sizes["train"]
-    return TrainConfig(
-        batch_size=kv["batch_size"],
-        learning_rate=kv["learning_rate"],
-        max_epochs=kv["max_epochs"],
-        patience=kv["patience"],
-        eta=kv["eta"],
-        seed=seed,
-    ).validate()
-
-
-def _reproduce_detection(exp_dir, seed, jobs, scale, file_cfg) -> None:
-    """Box stats, densities, per-fault ROC/AUC, and the multi-vs-single
-    comparison, all on one synthetic dataset."""
-    sizes = _repro_sizes(scale, file_cfg)
-    wt, gen = _repro_data(exp_dir, seed, sizes)
-    split_cfg = C.resolve_section(file_cfg, "split", SPLIT_DEFAULTS)
-    train_std, val_std, test_std, stats = _split_and_standardize(wt, split_cfg)
-    val_normal = val_std.select(val_std.normal_mask())
-    tc = _repro_train_config(sizes, seed)
-    spec = _repro_spec(wt, sizes, "cvae")
-
+def _reproduce_detection(exp_dir, spec, parts: _Splits, tc, ev, seed, jobs) -> None:
+    """Both model kinds, sampled scores, every detection metric, and the
+    uncertainty bands of the first normal and first abnormal test sample."""
     models_dir = os.path.join(exp_dir, "models")
-    cvae = train(spec, train_std, val_normal, tc, out_dir=os.path.join(models_dir, "cvae"))
-    stats.save_csv(os.path.join(models_dir, "cvae", "stats.csv"), tuple(wt.channel_names))
-    suite = train_single_module_suite(spec, train_std, val_normal, tc, jobs=jobs)
-    for module, res in sorted(suite.items()):
-        module_dir = os.path.join(models_dir, f"vae_module_{module}")
-        tr_m = train_std.select(train_std.module_ids == module)
-        va_m = val_normal.select(val_normal.module_ids == module)
-        write_run_artifacts(module_dir, res, tc, tr_m, va_m)
-
-    names = list(wt.channel_names)
-    ev = C.resolve_section(file_cfg, "eval", EVAL_DEFAULTS)
-    multi_scores = E.score(
-        cvae.params, spec, test_std, mode="sampled", n_draws=ev["n_draws"],
-        seed=seed, batch_size=ev["batch_size"],
-    )
-    single_models = {m: (r.spec, r.params) for m, r in suite.items()}
-    single_scores = _score_single(
-        single_models, test_std, "sampled", ev["n_draws"], seed, ev["batch_size"]
-    )
-
+    cvae = _train_stage(os.path.join(models_dir, "cvae"), spec, parts, tc)
+    suite = _train_stage(models_dir, dataclasses.replace(spec, mode="vae"), parts, tc, jobs)
     metrics_dir = os.path.join(exp_dir, "metrics")
     os.makedirs(metrics_dir, exist_ok=True)
-    E.write_scores_csv(os.path.join(metrics_dir, "scores.csv"), multi_scores, names)
-    box_rows, density_rows = E.summarize(multi_scores, names)
-    E.write_boxstats_csv(os.path.join(metrics_dir, "boxstats.csv"), box_rows)
-    E.write_density_csv(os.path.join(metrics_dir, "density.csv"), density_rows)
-    E.write_auc_table_csv(
-        os.path.join(metrics_dir, "auc_table.csv"), E.auc_table(multi_scores, names)
+    entries, _ = _detection_stage(
+        metrics_dir, parts, {**ev, "mode": "sampled", "seed": seed},
+        multi=(spec, cvae.params),
+        singles={m: (r.spec, r.params) for m, r in suite.items()},
     )
-    normals = [s.aggregate for s in multi_scores if s.label == D.NORMAL_LABEL]
-    for fault in sorted({s.label for s in multi_scores if s.label != D.NORMAL_LABEL}):
-        abnormal = [s.aggregate for s in multi_scores if s.label == fault]
-        curve = E.roc_auc(normals, abnormal)
-        E.write_roc_csv(
-            os.path.join(metrics_dir, f"roc_{fault.replace('/', '-')}.csv"), curve
-        )
-        print(f"  {fault}: AUC {curve.auc:.4f}")
-    cells = E.compare_methods(multi_scores, single_scores)
-    E.write_comparison_csv(os.path.join(metrics_dir, "report.csv"), cells)
-
-    val_scores = [s.aggregate for s in E.score(cvae.params, spec, val_normal)]
-    threshold = E.pick_threshold(val_scores, ev["fpr_budget"])
     write_manifest(
         os.path.join(metrics_dir, "summary.txt"),
-        {"threshold": repr(threshold), "fpr_budget": ev["fpr_budget"],
-         "test_samples": test_std.n_samples},
+        {"threshold": entries["threshold"], "fpr_budget": ev["fpr_budget"],
+         "test_samples": parts.test.n_samples},
     )
-
-    # uncertainty bands for one normal and one abnormal test sample
     bands_dir = os.path.join(exp_dir, "bands")
     os.makedirs(bands_dir, exist_ok=True)
-    normal_idx = int(np.flatnonzero(test_std.normal_mask())[0])
-    abnormal_idx_arr = np.flatnonzero(~test_std.normal_mask())
-    picks = [normal_idx] + ([int(abnormal_idx_arr[0])] if abnormal_idx_arr.size else [])
-    for idx in picks:
-        sample = test_std.select(np.array([idx]))
-        ids = sample.module_ids if spec.mode == "cvae" else None
-        reps = U.replicate(cvae.params, spec, sample.data, ids,
+    normal = parts.test.normal_mask()
+    for idx in (*np.flatnonzero(normal)[:1], *np.flatnonzero(~normal)[:1]):
+        sample = parts.test.select(np.array([idx]))
+        reps = U.replicate(cvae.params, spec, sample.data, sample.module_ids,
                            n_draws=ev["n_draws"], seed=seed)
         U.write_bands_csv(
             os.path.join(bands_dir, f"bands_{int(sample.sample_ids[0])}.csv"),
-            reps, 0, names,
+            reps, 0, parts.names,
         )
-    _write_resolved(exp_dir, {"generate": gen, "split": split_cfg,
-                              "train": dataclasses.asdict(tc), "eval": ev})
-
-
-def _reproduce_depth(exp_dir, seed, jobs, scale, file_cfg) -> None:
-    """Loss-surface convexity as conv depth grows; six depths by default."""
-    sizes = _repro_sizes(scale, file_cfg)
-    if scale == "desk" and "generate" not in file_cfg:
-        # smaller waveforms keep the six retrains tractable on a laptop
-        sizes["generate"].update({"modules": 4, "samples_per_module": 24,
-                                  "time_steps": 128, "faults": 0})
-    if scale == "desk" and "model" not in file_cfg:
-        sizes["model"].update({"kernels_per_block": 8, "dense_units": 32,
-                               "latent_dim": 16})
-    if scale == "desk" and "train" not in file_cfg:
-        sizes["train"].update({"max_epochs": 30, "batch_size": 8})
-    wt, gen = _repro_data(exp_dir, seed, sizes)
-    split_cfg = C.resolve_section(file_cfg, "split", SPLIT_DEFAULTS)
-    train_std, val_std, _, _ = _split_and_standardize(wt, split_cfg)
-    val_normal = val_std.select(val_std.normal_mask())
-    tc = _repro_train_config(sizes, seed)
-    spec = _repro_spec(wt, sizes, "cvae")
-    ls = C.resolve_section(file_cfg, "landscape", LANDSCAPE_DEFAULTS)
-    if scale == "desk" and "landscape" not in file_cfg:
-        ls["resolution"] = 15
-
-    sweep = L.depth_sweep(
-        ls["depths"], spec, train_std, val_normal, tc,
-        direction_seeds=(ls["gamma_seed"], ls["nu_seed"]),
-        resolution=ls["resolution"], span=ls["span"],
-        batch_size=ls["batch_size"], jobs=jobs,
-    )
-    rows = []
-    for depth, res in sorted(sweep.items()):
-        tag = f"depth{depth}"
-        L.write_landscape_csv(os.path.join(exp_dir, f"landscape_{tag}.csv"), res.grid)
-        rows.append(L.convexity_row(tag, res.grid, res.report))
-        print(f"  depth {depth}: psd {res.report.psd_fraction:.3f}")
-    L.write_convexity_csv(os.path.join(exp_dir, "report.csv"), rows)
-    _write_resolved(exp_dir, {"generate": gen, "split": split_cfg,
-                              "train": dataclasses.asdict(tc), "landscape": ls})
-
-
-def _reproduce_calibration(exp_dir, seed, jobs, scale, file_cfg) -> None:
-    """Per-channel miscalibration of latent-sampling intervals on held-out
-    normal waveforms."""
-    sizes = _repro_sizes(scale, file_cfg)
-    if scale == "desk" and "generate" not in file_cfg:
-        sizes["generate"].update({"modules": 4, "samples_per_module": 40,
-                                  "time_steps": 256, "faults": 0})
-    if scale == "desk" and "model" not in file_cfg:
-        sizes["model"].update({"kernels_per_block": 8, "dense_units": 64,
-                               "latent_dim": 16})
-    if scale == "desk" and "train" not in file_cfg:
-        sizes["train"].update({"max_epochs": 60, "batch_size": 8})
-    wt, gen = _repro_data(exp_dir, seed, sizes)
-    split_cfg = C.resolve_section(file_cfg, "split", SPLIT_DEFAULTS)
-    train_std, val_std, test_std, stats = _split_and_standardize(wt, split_cfg)
-    val_normal = val_std.select(val_std.normal_mask())
-    tc = _repro_train_config(sizes, seed)
-    spec = _repro_spec(wt, sizes, "cvae")
-    result = train(spec, train_std, val_normal, tc,
-                   out_dir=os.path.join(exp_dir, "model"))
-    stats.save_csv(os.path.join(exp_dir, "model", "stats.csv"),
-                   tuple(wt.channel_names))
-
-    uc = C.resolve_section(file_cfg, "uq", UQ_DEFAULTS)
-    normals = test_std.select(test_std.normal_mask())
-    count = min(uc["examples"], normals.n_samples)
-    picked = U.choose_examples(normals.n_samples, count, seed)
-    chosen = normals.select(picked)
-    names = list(wt.channel_names)
-    for module in sorted(set(chosen.module_ids.tolist())):
-        subset = chosen.select(chosen.module_ids == module)
-        reps = U.replicate(result.params, spec, subset.data, subset.module_ids,
-                           n_draws=uc["n_draws"], seed=seed, jobs=jobs)
-        curves = U.per_channel_calibration(reps, subset.data.astype(np.float64))
-        U.write_uq_csv(os.path.join(exp_dir, f"uq_{module}.csv"), names, curves,
-                       n_draws=uc["n_draws"], seed=seed)
-        overall = U.miscalibration_area(reps, subset.data.astype(np.float64))
-        U.write_calibration_csv(
-            os.path.join(exp_dir, f"calibration_{module}.csv"), overall
-        )
-        print(f"  module {module}: MA {overall.area:.4f}")
-    _write_resolved(exp_dir, {"generate": gen, "split": split_cfg,
-                              "train": dataclasses.asdict(tc), "uq": uc})
 
 
 def _write_repro_manifest(out) -> None:

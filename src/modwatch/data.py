@@ -205,6 +205,13 @@ class WaveformTensor:
             sample_ids=self.sample_ids[index].copy(),
         )
 
+    def module_rows(self, module: int) -> "WaveformTensor":
+        """The rows of one module, relabelled module 0 as a single-module
+        model sees them."""
+        out = self.select(self.module_ids == module)
+        out.module_ids = np.zeros_like(out.module_ids)
+        return out
+
     def concat(self, other: "WaveformTensor") -> "WaveformTensor":
         if self.channel_names != other.channel_names:
             raise DataError("cannot concatenate tensors with different channels")
@@ -428,43 +435,6 @@ def generate(cfg: GeneratorConfig) -> WaveformTensor:
         sample_ids=np.arange(len(rows), dtype=np.int64),
     )
     return wt.validate()
-
-
-def extract_macropulses(
-    raw: np.ndarray,
-    pulse_length: int,
-    mode: str = "normal",
-    pulse_count: int = 3,
-    offsets: tuple[int, ...] | None = None,
-) -> np.ndarray:
-    """Slice macro-pulse windows out of long records.
-
-    ``raw`` is (record_len, channels) or (records, record_len, channels).
-    Windows default to evenly spaced offsets i * (record_len // pulse_count).
-    Normal mode returns every window; pre-fault mode returns only the first
-    (earliest) window of each record.
-    """
-    arr = np.asarray(raw)
-    if arr.ndim == 2:
-        arr = arr[None]
-    if arr.ndim != 3:
-        raise ShapeError(f"raw records must be 2-d or 3-d, got dims {np.asarray(raw).shape}")
-    if mode not in ("normal", "prefault"):
-        raise ConfigError(f"mode must be 'normal' or 'prefault', got {mode!r}")
-    if pulse_length < 1 or pulse_count < 1:
-        raise ConfigError("pulse_length and pulse_count must be >= 1")
-    record_len = arr.shape[1]
-    offs = offsets if offsets is not None else tuple(i * (record_len // pulse_count) for i in range(pulse_count))
-    if len(offs) != pulse_count:
-        raise ConfigError(f"{len(offs)} offsets for pulse_count {pulse_count}")
-    if any(o < 0 for o in offs) or max(offs) + pulse_length > record_len:
-        raise DataError(
-            f"record of length {record_len} too short for offsets {offs} "
-            f"with pulse_length {pulse_length}"
-        )
-    use = offs[:1] if mode == "prefault" else offs
-    windows = [arr[:, o : o + pulse_length, :] for o in use]
-    return np.ascontiguousarray(np.concatenate(windows, axis=0).astype(np.float32))
 
 
 @dataclass

@@ -8,6 +8,7 @@ for a given configuration on one platform.
 from __future__ import annotations
 
 import csv
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -226,8 +227,6 @@ def train(
 def write_run_artifacts(
     out_dir, result: TrainResult, config: TrainConfig, train_set, val_set
 ) -> None:
-    import os
-
     from .checkpoint import checkpoint_bytes
     from .data import dataset_bytes
     from .util import sha256_bytes
@@ -284,12 +283,15 @@ def train_single_module_suite(
     val_set: WaveformTensor,
     config: TrainConfig,
     jobs: int = 1,
+    out_dir=None,
 ) -> dict[int, TrainResult]:
     """Train one single-module (unconditioned) model per module.
 
     Every per-module model uses identical hyperparameters and the same
     weight-initialisation seed, so differences between modules come from
     their data alone.  Module order and worker count do not affect results.
+    With ``out_dir`` set, each module's run artifacts are written to
+    ``out_dir/vae_module_<id>``.
     """
     spec.validate()
     config.validate()
@@ -299,8 +301,8 @@ def train_single_module_suite(
     single_spec = replace(spec, mode="vae", module_count=1).validate()
 
     def _one(module_id: int) -> tuple[int, TrainResult]:
-        tr = train_set.select(train_set.module_ids == module_id)
-        va = val_set.select(val_set.module_ids == module_id)
+        tr = train_set.module_rows(module_id)
+        va = val_set.module_rows(module_id)
         va = va.select(va.normal_mask())
         n_batches = -(-tr.n_samples // config.batch_size) if tr.n_samples else 0
         if n_batches < 2:
@@ -310,9 +312,10 @@ def train_single_module_suite(
             )
         if va.n_samples == 0:
             raise DataError(f"module {module_id} has no normal validation samples")
-        remapped_tr = _remap_module(tr)
-        remapped_va = _remap_module(va)
-        return module_id, train(single_spec, remapped_tr, remapped_va, config)
+        module_dir = None
+        if out_dir is not None:
+            module_dir = os.path.join(out_dir, f"vae_module_{module_id}")
+        return module_id, train(single_spec, tr, va, config, out_dir=module_dir)
 
     if jobs <= 1:
         results = [_one(m) for m in modules]
@@ -320,9 +323,3 @@ def train_single_module_suite(
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_one, modules))
     return dict(results)
-
-
-def _remap_module(ds: WaveformTensor) -> WaveformTensor:
-    out = ds.select(slice(None))
-    out.module_ids = np.zeros_like(out.module_ids)
-    return out

@@ -103,6 +103,11 @@ def test_vae_single_module_matches_suite(workspace, tmp_path):
     assert sha(one / "vae_module_1" / "checkpoint.mwck") == sha(
         suite / "vae_module_1" / "checkpoint.mwck"
     )
+    # both paths hash the rows the model trained on (module ids remapped to 0)
+    manifests = [read_manifest(d / "vae_module_1" / "manifest.txt") for d in (one, suite)]
+    for manifest in manifests:
+        del manifest["wall_seconds"]
+    assert manifests[0] == manifests[1]
 
 
 def test_eval_writes_metric_csvs(workspace, tmp_path):
@@ -330,6 +335,48 @@ def test_reproduce_detection_bundle(tmp_path):
     assert listed == on_disk
     digest, rel = lines[0].split(maxsplit=1)
     assert sha(out / rel) == digest
+
+    # the subcommand chain with the same config and seed writes the same files
+    chain = tmp_path / "chain"
+    assert run("generate", "--config", str(cfg), "--out", str(chain / "data"),
+               "--seed", "7") == 0
+    data = str(chain / "data" / "dataset.mwts")
+    assert run("train", "--data", data, "--config", str(cfg), "--out", str(chain / "cvae"),
+               "--seed", "7") == 0
+    assert run("train", "--data", data, "--config", str(cfg), "--mode", "vae",
+               "--out", str(chain / "singles"), "--seed", "7") == 0
+    assert run("eval", "--data", data, "--config", str(cfg), "--multi", str(chain / "cvae"),
+               "--single-dir", str(chain / "singles"), "--mode", "sampled",
+               "--out", str(chain / "metrics"), "--seed", "7") == 0
+    assert sha(chain / "data" / "dataset.mwts") == sha(exp / "data" / "dataset.mwts")
+    assert sha(chain / "cvae" / "checkpoint.mwck") == sha(
+        exp / "models" / "cvae" / "checkpoint.mwck")
+    for module in range(3):
+        rel = os.path.join(f"vae_module_{module}", "checkpoint.mwck")
+        assert sha(chain / "singles" / rel) == sha(exp / "models" / rel)
+    metric_csvs = sorted(p.name for p in (exp / "metrics").glob("*.csv"))
+    assert len(metric_csvs) > 5
+    for name in metric_csvs:
+        assert sha(chain / "metrics" / name) == sha(exp / "metrics" / name), name
+    threshold = read_manifest(exp / "metrics" / "summary.txt")["threshold"]
+    assert read_manifest(chain / "metrics" / "manifest.txt")["threshold"] == threshold
+
+    # the bundle's models directory is what eval --single-dir expects
+    assert run("eval", "--data", str(exp / "data" / "dataset.mwts"),
+               "--single-dir", str(exp / "models"), "--out", str(tmp_path / "single"),
+               "--seed", "7") == 0
+
+
+def test_reproduce_rejects_unknown_model_preset(tmp_path, capsys):
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text(
+        "[generate]\nmodules = 2\nsamples_per_module = 60\ntime_steps = 32\n"
+        "faults = 4\n\n[train]\nmax_epochs = 1\nbatch_size = 8\n\n"
+        "[model]\npreset = ful\n"
+    )
+    assert run("reproduce", "--experiment", "detection", "--config", str(cfg),
+               "--out", str(tmp_path / "o")) == 2
+    assert "unknown model preset 'ful'" in capsys.readouterr().err
 
 
 def test_reproduce_depth_and_calibration(tmp_path):

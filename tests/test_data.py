@@ -148,35 +148,6 @@ class TestGenerator:
             D.GeneratorConfig(severity=bad_sev).validate()
 
 
-class TestExtractMacropulses:
-    def test_matches_slicing_oracle(self, rng):
-        record = rng.standard_normal((300, 4)).astype(np.float32)
-        out = D.extract_macropulses(record, pulse_length=80, mode="normal", pulse_count=3)
-        assert out.shape == (3, 80, 4)
-        for i, off in enumerate((0, 100, 200)):
-            np.testing.assert_array_equal(out[i], record[off : off + 80])
-
-    def test_prefault_takes_first_window(self, rng):
-        records = rng.standard_normal((2, 300, 4)).astype(np.float32)
-        out = D.extract_macropulses(records, pulse_length=80, mode="prefault", pulse_count=3)
-        assert out.shape == (2, 80, 4)
-        np.testing.assert_array_equal(out[0], records[0, :80])
-        np.testing.assert_array_equal(out[1], records[1, :80])
-
-    def test_explicit_offsets(self, rng):
-        record = rng.standard_normal((100, 2)).astype(np.float32)
-        out = D.extract_macropulses(record, 10, pulse_count=2, offsets=(5, 60))
-        np.testing.assert_array_equal(out[0], record[5:15])
-        np.testing.assert_array_equal(out[1], record[60:70])
-
-    def test_too_short_record_raises(self, rng):
-        record = rng.standard_normal((100, 2)).astype(np.float32)
-        with pytest.raises(DataError):
-            D.extract_macropulses(record, pulse_length=50, pulse_count=3)
-        with pytest.raises(ConfigError):
-            D.extract_macropulses(record, 10, mode="sideways")
-
-
 class TestStandardize:
     def test_zero_mean_unit_sd_on_fit_data(self, small_set):
         out, stats = D.standardize(small_set)
