@@ -341,7 +341,10 @@ def _train_stage(out, spec: M.ModelSpec, parts: _Splits, tc: TrainConfig,
         return result
     train_set, val_set = parts.train, parts.val_normal
     if module not in (None, "all"):
-        module = int(module)
+        try:
+            module = int(module)
+        except ValueError:
+            raise ConfigError(f"--module must be a module id or 'all', got {module!r}") from None
         train_set = train_set.select(train_set.module_ids == module)
         val_set = val_set.select(val_set.module_ids == module)
         if train_set.n_samples == 0:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import serialize as ser
 from .errors import ConfigError, DataError, ShapeError
-from .util import check_finite, seeded_rng
+from .util import check_finite, seeded_rng, write_csv
 
 CHANNELS: tuple[str, ...] = (
     "IGBT-A+",
@@ -211,17 +211,6 @@ class WaveformTensor:
         out = self.select(self.module_ids == module)
         out.module_ids = np.zeros_like(out.module_ids)
         return out
-
-    def concat(self, other: "WaveformTensor") -> "WaveformTensor":
-        if self.channel_names != other.channel_names:
-            raise DataError("cannot concatenate tensors with different channels")
-        return WaveformTensor(
-            data=np.concatenate([self.data, other.data]),
-            channel_names=self.channel_names,
-            module_ids=np.concatenate([self.module_ids, other.module_ids]),
-            labels=np.concatenate([self.labels, other.labels]),
-            sample_ids=np.concatenate([self.sample_ids, other.sample_ids]),
-        )
 
 
 def module_template_params(cfg: GeneratorConfig, module_id: int) -> dict[str, float]:
@@ -448,11 +437,8 @@ class ChannelStats:
     CONSTANT_SD = 1e-8
 
     def save_csv(self, path, channel_names: tuple[str, ...]) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["channel", "mean", "sd", "constant"])
-            for i, name in enumerate(channel_names):
-                w.writerow([name, repr(float(self.mean[i])), repr(float(self.sd[i])), int(self.constant[i])])
+        write_csv(path, ["channel", "mean", "sd", "constant"],
+                  [channel_names, self.mean, self.sd, self.constant])
 
     @classmethod
     def load_csv(cls, path) -> "ChannelStats":
@@ -643,11 +629,7 @@ def dataset_bytes(wt: WaveformTensor) -> bytes:
 
 
 def save_metadata_csv(path, wt: WaveformTensor) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample_id", "module", "label"])
-        for sid, m, label in zip(wt.sample_ids, wt.module_ids, wt.labels):
-            w.writerow([int(sid), int(m), label])
+    write_csv(path, ["sample_id", "module", "label"], [wt.sample_ids, wt.module_ids, wt.labels])
 
 
 def desk_config(seed: int = 0, **overrides) -> GeneratorConfig:

@@ -7,9 +7,8 @@ sample is flagged anomalous when score >= threshold.
 """
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .data import WaveformTensor
 from .errors import ConfigError, DataError, ShapeError
 from .model import ModelParameters, ModelSpec
 from .tensor import Tensor
-from .util import seeded_rng
+from .util import seeded_rng, write_csv
 
 _DRAW_TAG = 0x5C02
 DENSITY_EDGES = 10.0 ** (np.arange(33) * 0.25 - 7.0)  # 1e-7 .. 1e1, 0.25 decades
@@ -216,13 +215,6 @@ def _box_rows(rows: np.ndarray) -> list[BoxStats]:
         BoxStats(rows.shape[1], *map(float, stat))
         for stat in zip(rows.min(axis=1), q1, med, q3, rows.max(axis=1), rows.mean(axis=1))
     ]
-
-
-def box_stats(values) -> BoxStats:
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise DataError("cannot summarize an empty group")
-    return _box_rows(v[None, :])[0]
 
 
 def density_counts(values) -> np.ndarray:
@@ -426,105 +418,35 @@ def compare_methods(
 
 
 def write_scores_csv(path, scores: list[AnomalyScore], channel_names: list[str]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample_id", "module", "label", *channel_names, "aggregate"])
-        for s in scores:
-            w.writerow(
-                [s.sample_id, s.module_id, s.label]
-                + [repr(float(v)) for v in s.channel_mse]
-                + [repr(s.aggregate)]
-            )
+    mse = np.array([s.channel_mse for s in scores], dtype=np.float64)
+    write_csv(
+        path,
+        ["sample_id", "module", "label", *channel_names, "aggregate"],
+        [[s.sample_id for s in scores], [s.module_id for s in scores],
+         [s.label for s in scores], *mse.reshape(len(scores), len(channel_names)).T,
+         [s.aggregate for s in scores]],
+    )
 
 
 def write_roc_csv(path, curve: RocCurve) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["threshold", "fpr", "tpr"])
-        for t, (fpr, tpr) in zip(curve.thresholds, curve.points):
-            w.writerow([repr(float(t)), repr(float(fpr)), repr(float(tpr))])
+    write_csv(path, ["threshold", "fpr", "tpr"], [curve.thresholds, *curve.points.T])
 
 
 def write_auc_table_csv(path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["fault", "module", "channel", "auc", "n_normal", "n_abnormal", "channel_rank"]
-        )
-        for r in rows:
-            w.writerow(
-                [
-                    r["fault"],
-                    r["module"],
-                    r["channel"],
-                    repr(r["auc"]),
-                    r["n_normal"],
-                    r["n_abnormal"],
-                    r["channel_rank"],
-                ]
-            )
+    header = ["fault", "module", "channel", "auc", "n_normal", "n_abnormal", "channel_rank"]
+    write_csv(path, header, [[r[k] for r in rows] for k in header])
 
 
 def write_boxstats_csv(path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["module", "label", "channel", "count", "min", "q1", "median", "q3", "max", "mean"]
-        )
-        for r in rows:
-            w.writerow(
-                [r["module"], r["label"], r["channel"], r["count"]]
-                + [repr(r[k]) for k in ("min", "q1", "median", "q3", "max", "mean")]
-            )
+    header = ["module", "label", "channel", "count", "min", "q1", "median", "q3", "max", "mean"]
+    write_csv(path, header, [[r[k] for r in rows] for k in header])
 
 
 def write_density_csv(path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["label", "channel", "bin_low", "bin_high", "count", "fraction"])
-        for r in rows:
-            w.writerow(
-                [
-                    r["label"],
-                    r["channel"],
-                    repr(float(r["bin_low"])),
-                    repr(float(r["bin_high"])),
-                    r["count"],
-                    repr(float(r["fraction"])),
-                ]
-            )
+    header = ["label", "channel", "bin_low", "bin_high", "count", "fraction"]
+    write_csv(path, header, [[r[k] for r in rows] for k in header])
 
 
 def write_comparison_csv(path, cells: list[ComparisonCell]) -> None:
-    def fmt(v):
-        return "" if v is None else repr(float(v))
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [
-                "fault",
-                "module",
-                "n_normal",
-                "n_abnormal",
-                "auc_multi",
-                "sd_multi",
-                "auc_single",
-                "sd_single",
-                "delta",
-            ]
-        )
-        for c in cells:
-            w.writerow(
-                [
-                    c.fault,
-                    c.module,
-                    c.n_normal,
-                    c.n_abnormal,
-                    fmt(c.auc_multi),
-                    fmt(c.sd_multi),
-                    fmt(c.auc_single),
-                    fmt(c.sd_single),
-                    fmt(c.delta),
-                ]
-            )
+    header = [f.name for f in fields(ComparisonCell)] + ["delta"]
+    write_csv(path, header, [[getattr(c, k) for c in cells] for k in header])

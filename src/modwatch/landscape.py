@@ -8,9 +8,8 @@ changing a single bit of the result.
 """
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .errors import ConfigError, DataError, NumericError, ShapeError
 from .model import LayerWeights, ModelParameters, ModelSpec
 from .tensor import DTYPE, Tensor
 from .train import TrainConfig, dataset_loss, train
-from .util import seeded_rng, sha256_bytes
+from .util import seeded_rng, sha256_bytes, write_csv
 
 _DIRECTION_TAG = 0xD1A
 
@@ -51,26 +50,29 @@ def random_direction(params: ModelParameters, seed: int, tag: str = "gamma") -> 
     return normalize_direction(d, params)
 
 
-def normalize_direction(direction: Direction, params: ModelParameters) -> Direction:
-    """Rescale each unit so ||d_unit|| == ||w_unit|| (Frobenius, float64)."""
-    layers = {}
+def _check_dims(direction: Direction, params: ModelParameters) -> None:
     for name, lw in params.layers.items():
         if name not in direction.layers:
             raise ShapeError(f"direction is missing layer {name!r}")
-        src = direction.layers[name].kernels
-        if src.shape != lw.kernels.data.shape:
-            raise ShapeError(f"direction dims {src.shape} vs weights "
+        dims = direction.layers[name].kernels.shape
+        if dims != lw.kernels.data.shape:
+            raise ShapeError(f"direction dims {dims} vs weights "
                              f"{lw.kernels.data.shape} for layer {name!r}")
-        out = np.empty_like(src)
-        w64 = lw.kernels.data.astype(np.float64)
-        d64 = src.astype(np.float64)
-        for j in range(src.shape[0]):
-            wn = np.linalg.norm(w64[j])
-            dn = np.linalg.norm(d64[j])
-            if wn == 0.0 or dn == 0.0:
-                out[j] = 0.0
-            else:
-                out[j] = (d64[j] * (wn / dn)).astype(DTYPE)
+
+
+def normalize_direction(direction: Direction, params: ModelParameters) -> Direction:
+    """Rescale each unit so ||d_unit|| == ||w_unit|| (Frobenius, float64);
+    a unit where either norm is zero becomes zero."""
+    _check_dims(direction, params)
+    layers = {}
+    for name, lw in params.layers.items():
+        src = direction.layers[name].kernels
+        wn = unit_norms(lw.kernels.data)
+        dn = unit_norms(src)
+        live = (wn != 0.0) & (dn != 0.0)
+        scale = np.divide(wn, dn, out=np.zeros_like(wn), where=live)
+        out = (src.astype(np.float64) * scale.reshape(-1, *[1] * (src.ndim - 1))).astype(DTYPE)
+        out[~live] = 0.0
         layers[name] = DirectionLayer(kernels=out, bias=np.zeros_like(lw.bias.data))
     return Direction(layers=layers, seed=direction.seed, tag=direction.tag)
 
@@ -144,8 +146,8 @@ def evaluate_grid(
     data.validate()
     if data.n_samples == 0:
         raise DataError("landscape data is empty")
-    normalize_direction(gamma, params)  # dims check
-    normalize_direction(nu, params)
+    _check_dims(gamma, params)
+    _check_dims(nu, params)
 
     if resolution == 1:
         alphas = np.zeros(1)
@@ -319,43 +321,14 @@ def depth_sweep(
 
 def write_landscape_csv(path, grid: LandscapeGrid) -> None:
     """Matrix layout: header row of beta values, first column alpha."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["alpha"] + [repr(float(b)) for b in grid.betas])
-        for i, a in enumerate(grid.alphas):
-            w.writerow([repr(float(a))] + [repr(float(v)) for v in grid.losses[i]])
+    write_csv(path, ["alpha", *grid.betas], [grid.alphas, *grid.losses.T])
 
 
 def write_convexity_csv(path, rows: list[dict]) -> None:
-    cols = [
-        "tag",
-        "psd_fraction",
-        "interior_count",
-        "loss_min",
-        "loss_max",
-        "ray_monotonicity",
-        "center_minimal",
-        "overflow_count",
-        "resolution",
-        "center_loss",
-    ]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for r in rows:
-            w.writerow([r.get(c, "") for c in cols])
+    """One row per :func:`convexity_row` dict; a missing key is an empty cell."""
+    cols = ["tag", *(f.name for f in fields(ConvexityReport)), "center_loss"]
+    write_csv(path, cols, [[r.get(c) for r in rows] for c in cols])
 
 
 def convexity_row(tag: str, grid: LandscapeGrid, report: ConvexityReport) -> dict:
-    return {
-        "tag": tag,
-        "psd_fraction": repr(report.psd_fraction),
-        "interior_count": report.interior_count,
-        "loss_min": repr(report.loss_min),
-        "loss_max": repr(report.loss_max),
-        "ray_monotonicity": repr(report.ray_monotonicity),
-        "center_minimal": int(report.center_minimal),
-        "overflow_count": report.overflow_count,
-        "resolution": report.resolution,
-        "center_loss": repr(grid.center_loss),
-    }
+    return {"tag": tag, **asdict(report), "center_loss": grid.center_loss}

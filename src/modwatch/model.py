@@ -126,10 +126,10 @@ class ModelParameters:
     def count(self) -> int:
         return sum(t.data.size for _, t in self.named_tensors())
 
-    def clone(self, requires_grad: bool | None = None) -> "ModelParameters":
+    def clone(self) -> "ModelParameters":
         layers = {}
         for name, lw in self.layers.items():
-            rq = lw.kernels.requires_grad if requires_grad is None else requires_grad
+            rq = lw.kernels.requires_grad
             layers[name] = LayerWeights(
                 lw.kind,
                 Tensor(lw.kernels.data.copy(), requires_grad=rq),

@@ -7,7 +7,6 @@ for a given configuration on one platform.
 """
 from __future__ import annotations
 
-import csv
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +21,7 @@ from .errors import ConfigError, DataError, NumericError, ShapeError, TrainingDi
 from .model import LossBreakdown, ModelParameters, ModelSpec
 from .optim import AdamState, adam_step
 from .tensor import Tensor, backward
-from .util import seeded_rng
+from .util import atomic_open, seeded_rng, write_csv
 
 _EPOCH_TAG = 0xE70C
 
@@ -71,33 +70,18 @@ class TrainLog:
         return float("nan")
 
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                [
-                    "epoch",
-                    "train_reconstruction",
-                    "train_kld",
-                    "train_total",
-                    "val_reconstruction",
-                    "val_kld",
-                    "val_total",
-                    "is_best",
-                ]
-            )
-            for rec in self.epochs:
-                w.writerow(
-                    [
-                        rec.epoch,
-                        repr(rec.train.reconstruction),
-                        repr(rec.train.kld),
-                        repr(rec.train.total),
-                        repr(rec.validation.reconstruction),
-                        repr(rec.validation.kld),
-                        repr(rec.validation.total),
-                        int(rec.epoch == self.best_epoch),
-                    ]
-                )
+        parts = ("reconstruction", "kld", "total")
+        write_csv(
+            path,
+            ["epoch", "train_reconstruction", "train_kld", "train_total",
+             "val_reconstruction", "val_kld", "val_total", "is_best"],
+            [
+                [r.epoch for r in self.epochs],
+                *([getattr(r.train, p) for r in self.epochs] for p in parts),
+                *([getattr(r.validation, p) for r in self.epochs] for p in parts),
+                [r.epoch == self.best_epoch for r in self.epochs],
+            ],
+        )
 
 
 @dataclass
@@ -260,7 +244,7 @@ def write_run_artifacts(
 
 
 def write_manifest(path, entries: dict) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for key, value in entries.items():
             fh.write(f"{key} = {value}\n")
 

@@ -9,7 +9,6 @@ the diagonal.
 """
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ from . import model as M
 from .errors import ConfigError, DataError, ShapeError
 from .model import ModelParameters, ModelSpec
 from .tensor import Tensor
-from .util import seeded_rng
+from .util import seeded_rng, write_csv
 
 _DRAW_TAG = 0x0E9
 _PICK_TAG = 0x9B1
@@ -53,13 +52,6 @@ class ReplicaSet:
     @property
     def sd(self) -> np.ndarray:
         return self.draws.astype(np.float64).std(axis=0)
-
-    def merge(self, other: "ReplicaSet") -> "ReplicaSet":
-        if self.draws.shape[1:] != other.draws.shape[1:]:
-            raise ShapeError("replica sets cover different waveform dims")
-        return ReplicaSet(
-            draws=np.concatenate([self.draws, other.draws], axis=0), seed=self.seed
-        )
 
 
 def replicate(
@@ -170,37 +162,30 @@ def write_uq_csv(path, channel_names: list[str], curves: list[CalibrationCurve],
                  n_draws: int, seed: int) -> None:
     if len(channel_names) != len(curves):
         raise ShapeError(f"{len(channel_names)} channels vs {len(curves)} curves")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["channel", "miscalibration_area", "degenerate", "n_points",
-                    "n_draws", "seed"])
-        for name, curve in zip(channel_names, curves):
-            w.writerow([name, repr(curve.area), int(curve.degenerate),
-                        curve.n_points, n_draws, seed])
+    n = len(curves)
+    write_csv(
+        path,
+        ["channel", "miscalibration_area", "degenerate", "n_points", "n_draws", "seed"],
+        [channel_names, [c.area for c in curves], [c.degenerate for c in curves],
+         [c.n_points for c in curves], [n_draws] * n, [seed] * n],
+    )
 
 
 def write_bands_csv(path, replicas: ReplicaSet, sample_index: int,
                     channel_names: list[str]) -> None:
-    mean = replicas.mean
-    sd = replicas.sd
-    if not 0 <= sample_index < mean.shape[0]:
+    _, batch, steps, channels = replicas.draws.shape
+    if not 0 <= sample_index < batch:
         raise DataError(f"sample index {sample_index} out of range")
-    if len(channel_names) != mean.shape[2]:
-        raise ShapeError(f"{len(channel_names)} names for {mean.shape[2]} channels")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time_step", "channel", "mean", "sd"])
-        for t in range(mean.shape[1]):
-            for c, name in enumerate(channel_names):
-                w.writerow(
-                    [t, name, repr(float(mean[sample_index, t, c])),
-                     repr(float(sd[sample_index, t, c]))]
-                )
+    if len(channel_names) != channels:
+        raise ShapeError(f"{len(channel_names)} names for {channels} channels")
+    sample = ReplicaSet(draws=replicas.draws[:, sample_index], seed=replicas.seed)
+    write_csv(
+        path,
+        ["time_step", "channel", "mean", "sd"],
+        [np.repeat(np.arange(steps), channels), list(channel_names) * steps,
+         sample.mean.ravel(), sample.sd.ravel()],
+    )
 
 
 def write_calibration_csv(path, curve: CalibrationCurve) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["expected", "observed"])
-        for e, o in zip(curve.expected, curve.observed):
-            w.writerow([repr(float(e)), repr(float(o))])
+    write_csv(path, ["expected", "observed"], [curve.expected, curve.observed])

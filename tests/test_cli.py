@@ -279,6 +279,23 @@ def test_exit_code_numeric_error(workspace, tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_exit_code_bad_module_id(workspace, tmp_path, capsys):
+    assert run("train", "--data", str(workspace / "data" / "dataset.mwts"),
+               "--mode", "vae", "--module", "abc", "--out", str(tmp_path / "o")) == 2
+    assert "--module" in capsys.readouterr().err
+
+
+def test_exit_code_nan_in_dataset(workspace, tmp_path, capsys):
+    # the payload is the file's tail of little-endian float32s: make the last one NaN
+    payload = bytearray((workspace / "data" / "dataset.mwts").read_bytes())
+    payload[-4:] = np.float32(np.nan).tobytes()
+    bad = tmp_path / "nan.mwts"
+    bad.write_bytes(bytes(payload))
+    assert run("eval", "--data", str(bad), "--multi", str(workspace / "cvae"),
+               "--out", str(tmp_path / "o")) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_exit_code_data_error(tmp_path, capsys):
     assert run("train", "--data", str(tmp_path / "missing.mwts"),
                "--out", str(tmp_path / "o")) == 4

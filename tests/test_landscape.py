@@ -102,12 +102,32 @@ class TestDirections:
         b = random_direction(params, 2)
         assert not np.array_equal(a.layers["enc.dense"].kernels, b.layers["enc.dense"].kernels)
 
+    def test_matches_per_unit_loop(self):
+        params = M.init_parameters(tiny_spec(), 4)
+        params.layers["enc.conv0"].kernels.data[1] = 0.0
+        raw = random_direction(params, 6)
+        for layer in raw.layers.values():
+            layer.kernels = -np.abs(layer.kernels)  # zeroed units must come out +0.0
+        raw.layers["dec.dense0"].kernels[2] = 0.0
+        got = normalize_direction(raw, params)
+        for name, lw in params.layers.items():
+            w64 = lw.kernels.data.astype(np.float64)
+            d64 = raw.layers[name].kernels.astype(np.float64)
+            want = np.empty_like(raw.layers[name].kernels)
+            for j in range(want.shape[0]):
+                wn, dn = np.linalg.norm(w64[j]), np.linalg.norm(d64[j])
+                want[j] = 0.0 if wn == 0.0 or dn == 0.0 else (d64[j] * (wn / dn)).astype(np.float32)
+            assert np.array_equal(got.layers[name].kernels.view(np.uint32), want.view(np.uint32)), name
+
     def test_mismatched_direction_rejected(self):
         params = M.init_parameters(tiny_spec(), 0)
         other = M.init_parameters(tiny_spec(blocks=2), 0)
         d = random_direction(other, 1)
         with pytest.raises(ShapeError):
             normalize_direction(d, params)
+        good = random_direction(params, 2)
+        with pytest.raises(ShapeError):
+            evaluate_grid(params, tiny_spec(), good, d, toy_set(), resolution=3)
 
 
 class TestGrid:

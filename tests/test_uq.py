@@ -113,31 +113,7 @@ class TestReplicate:
         assert num / den < 0.1
 
 
-class TestMerge:
-    def test_union_of_draws_matches_pooled_formula(self, rng):
-        draws = rng.standard_normal((8, 2, 4, 3)).astype(np.float32)
-        a = ReplicaSet.from_draws(draws[:4])
-        b = ReplicaSet.from_draws(draws[4:])
-        merged = a.merge(b)
-        full = ReplicaSet.from_draws(draws)
-        assert np.array_equal(merged.mean, full.mean)
-
-        # pooled two-group formula as an independent oracle
-        na = nb = 4
-        pooled_mean = (na * a.mean + nb * b.mean) / (na + nb)
-        pooled_var = (
-            na * (a.sd**2 + (a.mean - pooled_mean) ** 2)
-            + nb * (b.sd**2 + (b.mean - pooled_mean) ** 2)
-        ) / (na + nb)
-        assert np.allclose(pooled_mean, full.mean, atol=1e-12)
-        assert np.allclose(np.sqrt(pooled_var), full.sd, atol=1e-6)
-
-    def test_mismatched_dims_rejected(self, rng):
-        a = ReplicaSet.from_draws(rng.standard_normal((4, 2, 4, 3)).astype(np.float32))
-        b = ReplicaSet.from_draws(rng.standard_normal((4, 2, 5, 3)).astype(np.float32))
-        with pytest.raises(ShapeError):
-            a.merge(b)
-
+class TestFromDraws:
     def test_from_draws_validation(self, rng):
         with pytest.raises(ShapeError):
             ReplicaSet.from_draws(rng.standard_normal((4, 2, 3)))
