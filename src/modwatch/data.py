@@ -592,24 +592,15 @@ def load_dataset(path) -> WaveformTensor:
             raise DataError(f"unsupported waveform tensor version {version}")
         n, steps, chans = (ser.read_u32(fh) for _ in range(3))
         channel_names = tuple(ser.read_str(fh) for _ in range(chans))
-        raw = fh.read(2 * n)
-        if len(raw) != 2 * n:
-            raise DataError("truncated file: module id array")
+        raw = ser.read_exact(fh, 2 * n, "module id array")
         module_ids = np.frombuffer(raw, dtype="<u2").astype(np.int32)
         n_labels = ser.read_u32(fh)
         label_names = [ser.read_str(fh) for _ in range(n_labels)]
-        raw = fh.read(n)
-        if len(raw) != n:
-            raise DataError("truncated file: label array")
-        label_codes = np.frombuffer(raw, dtype="<u1")
+        label_codes = np.frombuffer(ser.read_exact(fh, n, "label array"), dtype="<u1")
         if label_codes.size and int(label_codes.max()) >= n_labels:
             raise DataError("label index out of range")
         labels = np.asarray([label_names[c] for c in label_codes], dtype="<U16")
-        count = n * steps * chans
-        raw = fh.read(4 * count)
-        if len(raw) != 4 * count:
-            raise DataError("truncated file: waveform payload")
-        data = np.frombuffer(raw, dtype=ser.F32).reshape(n, steps, chans).copy()
+        data = ser.read_f32(fh, (n, steps, chans), "waveform payload")
         ser.expect_eof(fh, "waveform tensor")
     finally:
         if owned:

@@ -77,6 +77,7 @@ def score(
         if worst >= spec.module_count:
             raise DataError(f"module id {worst} unseen by this model")
 
+    params = params.frozen()  # forward only: no tape
     n = data.n_samples
     starts = list(range(0, n, batch_size))
 
@@ -232,7 +233,10 @@ def _columns(scores: list[AnomalyScore]):
         np.array([s.sample_id for s in scores], dtype=np.int64),
         np.array([s.module_id for s in scores], dtype=np.int64),
         np.array([s.label for s in scores], dtype=str),
-        np.array([(s.aggregate, *s.channel_mse) for s in scores], dtype=np.float64),
+        np.column_stack([
+            np.array([s.aggregate for s in scores], dtype=np.float64),
+            np.array([s.channel_mse for s in scores], dtype=np.float64),
+        ]),
     )
 
 

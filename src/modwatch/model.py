@@ -126,6 +126,14 @@ class ModelParameters:
     def count(self) -> int:
         return sum(t.data.size for _, t in self.named_tensors())
 
+    def frozen(self) -> "ModelParameters":
+        """The same arrays as constants: a forward pass through them records
+        no operation tape and keeps no intermediate alive for a backward."""
+        return ModelParameters({
+            name: LayerWeights(lw.kind, Tensor(lw.kernels.data), Tensor(lw.bias.data))
+            for name, lw in self.layers.items()
+        })
+
     def clone(self) -> "ModelParameters":
         layers = {}
         for name, lw in self.layers.items():

@@ -3,11 +3,14 @@
 All integers are little-endian unsigned 32-bit unless noted; strings are
 length-prefixed UTF-8; float payloads are little-endian float32 in row-major
 order.  Readers validate magic and version and fail loudly on trailing or
-missing bytes so round-trips are bit-exact.
+missing bytes so round-trips are bit-exact.  Every size a file claims is
+checked against the bytes it still holds before anything is read, so a
+corrupt header raises ``DataError`` instead of wrapping or allocating.
 """
 from __future__ import annotations
 
 import io
+import math
 import struct
 
 import numpy as np
@@ -45,12 +48,23 @@ def write_str(fh, text: str) -> None:
     fh.write(payload)
 
 
+def read_exact(fh, nbytes: int, what: str) -> bytes:
+    """Read ``nbytes`` (an exact Python int) from a seekable file, after
+    checking that the file still holds that many."""
+    pos = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - pos
+    fh.seek(pos)
+    if nbytes > left:
+        raise DataError(f"truncated file: {what} needs {nbytes} bytes, {left} left")
+    return fh.read(nbytes)
+
+
 def read_str(fh) -> str:
-    n = read_u32(fh)
-    raw = fh.read(n)
-    if len(raw) != n:
-        raise DataError("truncated file: expected string payload")
-    return raw.decode("utf-8")
+    raw = read_exact(fh, read_u32(fh), "string payload")
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"string is not valid UTF-8: {raw[:32]!r}") from exc
 
 
 def write_kv_block(fh, kv: dict[str, str]) -> None:
@@ -73,14 +87,20 @@ def write_f32_array(fh, arr: np.ndarray) -> None:
     fh.write(arr.tobytes())
 
 
+def read_f32(fh, dims: tuple[int, ...], what: str) -> np.ndarray:
+    """A row-major float32 payload of ``dims``, sized with ``math.prod`` so
+    a product of corrupt dims never wraps."""
+    raw = read_exact(fh, 4 * math.prod(dims), what)
+    try:
+        return np.frombuffer(raw, dtype=F32).reshape(dims).copy()
+    except ValueError as exc:  # a zero dim beside dims numpy cannot hold
+        raise DataError(f"{what}: dims {dims} cannot be held in memory") from exc
+
+
 def read_f32_array(fh) -> np.ndarray:
     ndim = read_u32(fh)
     dims = tuple(read_u64(fh) for _ in range(ndim))
-    count = int(np.prod(dims)) if dims else 1
-    raw = fh.read(count * 4)
-    if len(raw) != count * 4:
-        raise DataError("truncated file: expected float payload")
-    return np.frombuffer(raw, dtype=F32).reshape(dims).copy()
+    return read_f32(fh, dims, "float payload")
 
 
 def check_magic(fh, magic: bytes, kind: str) -> None:

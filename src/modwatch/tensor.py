@@ -8,7 +8,10 @@ floats; explicit reductions accumulate in 64-bit before rounding back.
 The operation graph is recorded implicitly: each Tensor produced by an op
 keeps the Function context that created it, and ``backward(loss)`` walks
 that record once in reverse topological order.  A record can only be
-consumed once; calling backward twice on the same scalar raises.
+consumed once; calling backward twice on the same scalar raises.  An op
+whose inputs are all constants (no ``requires_grad``, no recorded parent)
+records nothing, so forward-only callers pass constant parameters
+(``ModelParameters.frozen``) and keep no intermediate alive.
 
 Usage::
 
@@ -185,11 +188,13 @@ class _Exp(Function):
 
 class _Relu(Function):
     def forward(self, a):
-        self.mask = a > 0
-        return np.where(self.mask, a, DTYPE(0))
+        # fmax maps NaN and -0.0 to +0.0, the bits of np.where(a > 0, a, 0);
+        # np.maximum would let NaN through
+        self.out = np.fmax(a, DTYPE(0))
+        return self.out
 
     def backward(self, g):
-        return (g * self.mask,)
+        return (g * (self.out > 0),)
 
 
 class _Reshape(Function):
@@ -301,15 +306,22 @@ class _Conv1d(Function):
         else:
             raise ShapeError(f"conv1d: padding must be 'same' or 'valid', got {padding!r}")
 
-        xp = np.pad(x, ((0, 0), (pl, pr), (0, 0))) if (pl or pr) else x
-        acc = None
-        for k in range(width):
-            seg = xp[:, k : k + stride * t_out : stride, :]
-            term = seg @ w[:, :, k].T
-            acc = term if acc is None else acc + term
+        if pl or pr:
+            xp = np.empty((batch, pl + time + pr, cin), dtype=x.dtype)
+            xp[:, :pl] = 0
+            xp[:, pl + time :] = 0
+            xp[:, pl : pl + time] = x
+        else:
+            xp = x
+        # (width, in, out): each tap's operand is contiguous, ready for BLAS
+        taps = np.ascontiguousarray(w.transpose(2, 1, 0))
+        acc = xp[:, 0 : stride * t_out : stride, :] @ taps[0]
+        for k in range(1, width):
+            acc += xp[:, k : k + stride * t_out : stride, :] @ taps[k]
+        acc += b
         self.xp, self.w = xp, w
         self.stride, self.pl, self.time, self.t_out = stride, pl, time, t_out
-        return acc + b
+        return acc
 
     def backward(self, g):
         w, xp, stride, t_out = self.w, self.xp, self.stride, self.t_out

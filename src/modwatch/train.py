@@ -127,6 +127,7 @@ def dataset_loss(
 ) -> LossBreakdown:
     """Deterministic (epsilon = 0) loss over a whole split, evaluated in a
     fixed batch order with 64-bit sample-weighted accumulation."""
+    params = params.frozen()  # forward only: no tape
     n = ds.n_samples
     sums = np.zeros(2, dtype=np.float64)  # reconstruction, kld
     for start in range(0, n, batch_size):

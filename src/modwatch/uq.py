@@ -71,6 +71,7 @@ def replicate(
         raise ShapeError(
             f"input dims {x.shape} vs model (batch, {spec.time_steps}, {spec.channels})"
         )
+    params = params.frozen()  # forward only: no tape
     dist = M.encode(params, spec, Tensor(x), module_ids)
 
     def _draw(i: int) -> np.ndarray:
@@ -105,20 +106,20 @@ def miscalibration_area(replicas: ReplicaSet, observed_x: np.ndarray) -> Calibra
     |observed - expected| over the grid, always in [0, 0.5].
     """
     obs = np.asarray(observed_x, dtype=np.float64)
-    mean = replicas.mean
-    if obs.shape != mean.shape:
-        raise ShapeError(f"observation dims {obs.shape} vs replicas {mean.shape}")
-    sd = replicas.sd
+    if obs.shape != replicas.draws.shape[1:]:
+        raise ShapeError(f"observation dims {obs.shape} vs replicas {replicas.draws.shape[1:]}")
+    return _curve(replicas.mean, replicas.sd, obs)
+
+
+def _curve(mean: np.ndarray, sd: np.ndarray, obs: np.ndarray) -> CalibrationCurve:
     degenerate = bool((sd < SD_FLOOR).any())
-    sd = np.maximum(sd, SD_FLOOR)
+    sd = np.maximum(sd, SD_FLOOR).ravel()
     resid = np.abs(obs - mean).ravel()
-    sd_flat = sd.ravel()
 
     p = EXPECTED_PROPORTIONS
     z = norm.ppf((1.0 + p) / 2.0)
-    observed_prop = np.empty_like(p)
-    for k in range(p.size):
-        observed_prop[k] = float(np.mean(resid <= z[k] * sd_flat))
+    # one count per proportion: the exact integer over n, as np.mean gives
+    observed_prop = np.count_nonzero(resid <= z[:, None] * sd, axis=1) / resid.size
     area = float(np.trapezoid(np.abs(observed_prop - p), p) / (p[-1] - p[0]))
     return CalibrationCurve(
         expected=p,
@@ -138,11 +139,8 @@ def per_channel_calibration(
         raise ShapeError(
             f"observation dims {obs.shape} vs replicas {replicas.draws.shape[1:]}"
         )
-    out = []
-    for c in range(obs.shape[2]):
-        sub = ReplicaSet(draws=replicas.draws[:, :, :, c : c + 1], seed=replicas.seed)
-        out.append(miscalibration_area(sub, obs[:, :, c : c + 1]))
-    return out
+    mean, sd = replicas.mean, replicas.sd
+    return [_curve(mean[..., c], sd[..., c], obs[..., c]) for c in range(obs.shape[2])]
 
 
 def choose_examples(n_total: int, count: int = 10, seed: int = 0) -> np.ndarray:

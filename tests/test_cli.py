@@ -1,11 +1,15 @@
 """End-to-end command-line workflows in temporary directories."""
 import hashlib
+import io
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from modwatch import cli
+from modwatch import serialize as ser
+from modwatch.checkpoint import MAGIC, VERSION, load_checkpoint
 from modwatch.data import load_dataset
 from modwatch.train import read_manifest
 
@@ -294,6 +298,46 @@ def test_exit_code_nan_in_dataset(workspace, tmp_path, capsys):
     assert run("eval", "--data", str(bad), "--multi", str(workspace / "cvae"),
                "--out", str(tmp_path / "o")) == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+def _checkpoint_head(workspace, name: bytes) -> bytes:
+    """The workspace checkpoint up to its first layer, whose name is given
+    raw, and the first layer's kind."""
+    spec, params = load_checkpoint(workspace / "cvae" / "checkpoint.mwck")
+    buf = io.BytesIO()
+    buf.write(MAGIC)
+    ser.write_u32(buf, VERSION)
+    ser.write_kv_block(buf, spec.to_kv())
+    ser.write_u32(buf, len(params.layers))
+    buf.write(struct.pack("<I", len(name)) + name)
+    ser.write_str(buf, "conv1d")
+    return buf.getvalue()
+
+
+# every claimed size is small or unreadable, so no reader tries to allocate it
+@pytest.mark.parametrize("name, first_array", [
+    (b"enc.conv0", struct.pack("<IQQ", 2, 2**32, 2**32) + bytes(40)),
+    (b"enc.conv0", struct.pack("<IQ", 1, 2**63 + 5) + bytes(40)),
+    (b"enc.conv0", struct.pack("<IQ", 1, 1000) + bytes(40)),
+    (b"enc.\xffconv0", b""),
+], ids=["wrapping-dims", "overflowing-dim", "1000-floats-over-10", "bad-utf8-name"])
+def test_exit_code_corrupt_checkpoint(workspace, tmp_path, capsys, name, first_array):
+    bad = tmp_path / "bad.mwck"
+    bad.write_bytes(_checkpoint_head(workspace, name) + first_array)
+    assert run("eval", "--data", str(workspace / "data" / "dataset.mwts"),
+               "--multi", str(bad), "--stats", str(workspace / "cvae" / "stats.csv"),
+               "--out", str(tmp_path / "o")) == 4
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_exit_code_dataset_name_not_utf8(workspace, tmp_path, capsys):
+    payload = bytearray((workspace / "data" / "dataset.mwts").read_bytes())
+    payload[24] = 0xFF  # first byte of the first channel name
+    bad = tmp_path / "bad.mwts"
+    bad.write_bytes(bytes(payload))
+    assert run("eval", "--data", str(bad), "--multi", str(workspace / "cvae"),
+               "--out", str(tmp_path / "o")) == 4
+    assert "UTF-8" in capsys.readouterr().err
 
 
 def test_exit_code_data_error(tmp_path, capsys):

@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import io
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from modwatch import data as D
+from modwatch import serialize as ser
 from modwatch.errors import ConfigError, DataError, ShapeError
 
 
@@ -286,6 +288,19 @@ class TestWaveformFiles:
         with pytest.raises(DataError):
             D.load_dataset(fat)
 
+    @pytest.mark.parametrize("field", [0, 1], ids=["samples", "time_steps"])
+    def test_huge_count_raises_before_reading(self, small_set, field):
+        blob = bytearray(D.dataset_bytes(small_set))
+        struct.pack_into("<I", blob, 8 + 4 * field, 2**32 - 1)
+        with pytest.raises(DataError, match="truncated"):
+            D.load_dataset(io.BytesIO(bytes(blob)))
+
+    def test_channel_name_must_be_utf8(self, small_set):
+        blob = bytearray(D.dataset_bytes(small_set))
+        blob[24] = 0xFF  # first byte of the first channel name
+        with pytest.raises(DataError, match="UTF-8"):
+            D.load_dataset(io.BytesIO(bytes(blob)))
+
     def test_metadata_csv(self, small_set, tmp_path):
         path = tmp_path / "meta.csv"
         D.save_metadata_csv(path, small_set)
@@ -293,6 +308,34 @@ class TestWaveformFiles:
         assert lines[0] == "sample_id,module,label"
         assert len(lines) == small_set.n_samples + 1
         assert lines[1] == "0,0,normal"
+
+
+class TestClaimedSizes:
+    """A size a file claims is checked against the bytes it still holds, as a
+    Python int, before anything is read.  In-memory files, so no claim can
+    allocate on any version of the readers."""
+
+    @pytest.mark.parametrize("header", [
+        struct.pack("<IQQ", 2, 2**32, 2**32),  # the int64 product wraps to 0
+        struct.pack("<IQ", 1, 2**63 + 5),  # beyond int64
+        struct.pack("<IQQ", 2, 0, 2**63 + 5),  # no elements, dims numpy cannot hold
+        struct.pack("<IQ", 1, 1000),  # 1000 floats claimed over 10
+    ], ids=["wrapping", "overflowing", "zero-by-huge", "short"])
+    def test_float_array_dims(self, header):
+        with pytest.raises(DataError):
+            ser.read_f32_array(io.BytesIO(header + bytes(40)))
+
+    def test_string_must_be_utf8(self):
+        with pytest.raises(DataError, match="UTF-8"):
+            ser.read_str(io.BytesIO(struct.pack("<I", 2) + b"\xff\xfe"))
+
+    def test_read_exact_checks_before_reading(self):
+        fh = io.BytesIO(bytes(10))
+        fh.read(3)
+        with pytest.raises(DataError, match="needs 1099511627776 bytes, 7 left"):
+            ser.read_exact(fh, 2**40, "payload")
+        assert fh.tell() == 3
+        assert ser.read_exact(fh, 7, "payload") == bytes(7)
 
 
 class TestWaveformTensor:

@@ -16,8 +16,12 @@ from conftest import assert_gradients_close, fd_gradients
 from modwatch import model as M
 from modwatch import tensor as T
 from modwatch.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
+from modwatch.data import WaveformTensor
 from modwatch.errors import ConfigError, DataError, ShapeError
+from modwatch.evaluate import score
 from modwatch.tensor import Tensor
+from modwatch.train import dataset_loss
+from modwatch.uq import replicate
 
 
 def tiny_spec(mode="cvae"):
@@ -390,3 +394,54 @@ class TestOneHot:
             M.one_hot(np.array([3]), 3)
         with pytest.raises(DataError):
             M.one_hot(np.array([-1]), 3)
+
+
+class TestForwardOnlyPaths:
+    """Scoring, replicas and dataset losses run on constants: no op records
+    a tape, even when the caller hands in trainable parameters."""
+
+    @pytest.fixture
+    def tapeless(self, monkeypatch):
+        original = T.Function.apply.__func__
+
+        def apply(cls, *tensors, **kwargs):
+            out = original(cls, *tensors, **kwargs)
+            assert out._ctx is None, f"{cls.__name__} recorded a tape"
+            return out
+
+        monkeypatch.setattr(T.Function, "apply", classmethod(apply))
+
+    def _setup(self):
+        spec = tiny_spec()
+        params = M.init_parameters(spec, 3)
+        assert all(t.requires_grad for _, t in params.named_tensors())
+        rng = np.random.default_rng(5)
+        n = 5
+        ds = WaveformTensor(
+            data=rng.standard_normal((n, spec.time_steps, spec.channels)).astype(np.float32),
+            channel_names=tuple(f"c{i}" for i in range(spec.channels)),
+            module_ids=np.array([0, 1, 2, 0, 1], dtype=np.int32),
+            labels=np.array(["normal"] * n, dtype="<U16"),
+            sample_ids=np.arange(n, dtype=np.int64),
+        )
+        return spec, params, ds
+
+    def test_forward_only_entry_points_record_no_tape(self, tapeless):
+        spec, params, ds = self._setup()
+        score(params, spec, ds, batch_size=2)
+        score(params, spec, ds, mode="sampled", n_draws=3, batch_size=2)
+        replicate(params, spec, ds.data, ds.module_ids, n_draws=2)
+        dataset_loss(params, spec, ds, eta=1.0, batch_size=2)
+        # the patch does see a taped op: the training objective records one
+        with pytest.raises(AssertionError, match="recorded a tape"):
+            M.loss_forward(params, spec, Tensor(ds.data), ds.module_ids)
+
+    def test_frozen_shares_the_arrays_as_constants(self):
+        spec, params, _ = self._setup()
+        frozen = params.frozen()
+        assert list(frozen.layers) == list(params.layers)
+        for (name, t), (fname, f) in zip(params.named_tensors(), frozen.named_tensors()):
+            assert name == fname
+            assert f.data is t.data
+            assert not f.requires_grad and f._ctx is None
+        assert params.named_tensors()[0][1].requires_grad

@@ -105,6 +105,79 @@ class TestConv1dForward:
         np.testing.assert_allclose(scaled, np.float32(scale) * base, rtol=1e-4, atol=1e-4)
 
 
+def conv1d_per_tap(x, w, b, stride=1, padding="same"):
+    """The float32 per-tap loop conv1d used before its in-place form: np.pad,
+    one strided (in, out) weight view per tap, and a fresh array per add."""
+    time, width = x.shape[1], w.shape[2]
+    if padding == "same":
+        t_out = -(-time // stride)
+        pad_total = max((t_out - 1) * stride + width - time, 0)
+        pl = pad_total // 2
+        xp = np.pad(x, ((0, 0), (pl, pad_total - pl), (0, 0)))
+    else:
+        t_out = (time - width) // stride + 1
+        xp = x
+    acc = None
+    for k in range(width):
+        term = xp[:, k : k + stride * t_out : stride, :] @ w[:, :, k].T
+        acc = term if acc is None else acc + term
+    return acc + b
+
+
+class TestConv1dBits:
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("width", [1, 3, 5])
+    @pytest.mark.parametrize("dims", [(3, 29, 5, 7), (4, 64, 16, 16), (1, 48, 14, 4)])
+    def test_forward_matches_per_tap_loop_bitwise(self, rng, padding, stride, width, dims):
+        batch, time, cin, cout = dims
+        x = rng.standard_normal((batch, time, cin)).astype(np.float32)
+        w = rng.standard_normal((cout, cin, width)).astype(np.float32)
+        b = rng.standard_normal(cout).astype(np.float32)
+        got = T.conv1d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding).data
+        want = conv1d_per_tap(x, w, b, stride=stride, padding=padding)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_padding_leaves_the_input_untouched(self, rng):
+        x = rng.standard_normal((2, 9, 3)).astype(np.float32)
+        keep = x.copy()
+        w = Tensor(rng.standard_normal((4, 3, 5)).astype(np.float32))
+        T.conv1d(Tensor(x), w, Tensor(np.zeros(4, np.float32)))
+        assert x.tobytes() == keep.tobytes()
+
+
+RELU_EDGES = np.array(
+    [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45, 1e-40, -1e-40,
+     np.finfo(np.float32).tiny, -np.finfo(np.float32).tiny, 3.5, -3.5],
+    dtype=np.float32,
+)
+
+
+class TestReluBits:
+    def _inputs(self, rng):
+        noise = rng.standard_normal(200).astype(np.float32)
+        return np.concatenate([RELU_EDGES, noise]).reshape(2, -1)
+
+    def test_forward_matches_where_reference_bitwise(self, rng):
+        a = self._inputs(rng)
+        want = np.where(a > 0, a, np.float32(0))
+        got = T.relu(Tensor(a)).data
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got).any()  # NaN and -0.0 both give +0.0
+
+    def test_backward_matches_saved_mask_reference_bitwise(self, rng):
+        a = self._inputs(rng)
+        g = np.concatenate([RELU_EDGES[::-1], rng.standard_normal(200).astype(np.float32)])
+        g = g.reshape(a.shape)
+        x = Tensor(a, requires_grad=True)
+        with np.errstate(invalid="ignore"):  # 0 * inf and inf * False
+            T.backward(T.tsum(T.mul(T.relu(x), Tensor(g))))
+            want = g * (a > 0)
+        assert x.grad.tobytes() == want.tobytes()
+
+
 class TestDenseForward:
     def test_matches_oracle(self, rng):
         x = rng.standard_normal((5, 7)).astype(np.float32)

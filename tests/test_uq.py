@@ -1,6 +1,9 @@
 """Replica statistics and interval calibration."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import norm
 
 from modwatch import model as M
 from modwatch.errors import ConfigError, DataError, ShapeError
@@ -264,3 +267,59 @@ class TestUqCsv:
         reps = exact_replicas(rng.standard_normal(shape), np.ones(shape))
         with pytest.raises(DataError):
             write_bands_csv(tmp_path / "b.csv", reps, 5, ["c0", "c1", "c2"])
+
+
+def _loop_curve(replicas, obs):
+    """The calibration curve as one np.mean per proportion, over a float64
+    mean and SD taken from the draws it is given."""
+    mean, sd = replicas.mean, replicas.sd
+    degenerate = bool((sd < SD_FLOOR).any())
+    sd = np.maximum(sd, SD_FLOOR).ravel()
+    resid = np.abs(obs - mean).ravel()
+    p = EXPECTED_PROPORTIONS
+    z = norm.ppf((1.0 + p) / 2.0)
+    observed = np.empty_like(p)
+    for k in range(p.size):
+        observed[k] = float(np.mean(resid <= z[k] * sd))
+    area = float(np.trapezoid(np.abs(observed - p), p) / (p[-1] - p[0]))
+    return observed, area, degenerate, resid.size
+
+
+def _loop_per_channel(replicas, obs):
+    return [
+        _loop_curve(ReplicaSet(draws=replicas.draws[..., c : c + 1], seed=0), obs[..., c : c + 1])
+        for c in range(obs.shape[2])
+    ]
+
+
+class TestCalibrationOracle:
+    """One mean and SD per call and one count per proportion give the bits
+    of a per-channel rebuild and a per-proportion mean."""
+
+    @given(
+        dims=st.tuples(st.integers(2, 6), st.integers(1, 3), st.integers(1, 9),
+                       st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-14, 1e-3, 1.0, 1e5]),
+        quantized=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_loop(self, dims, seed, scale, quantized):
+        rng = np.random.default_rng(seed)
+        draws = (rng.standard_normal(dims) * scale).astype(np.float32)
+        obs = rng.standard_normal(dims[1:]) * scale
+        if quantized:  # ties between residuals and interval edges
+            draws = np.round(draws * 4 / scale) / 4
+            obs = np.round(obs * 4 / scale) / 4
+        draws[:, :, :, 0] = draws[0, :, :, 0]  # a constant (degenerate) channel
+        replicas = ReplicaSet(draws=draws.astype(np.float32), seed=seed)
+        got = per_channel_calibration(replicas, obs)
+        want = _loop_per_channel(replicas, obs)
+        assert len(got) == len(want)
+        for curve, (observed, area, degenerate, n) in zip(got, want):
+            assert curve.observed.tobytes() == observed.tobytes()
+            assert (curve.area, curve.degenerate, curve.n_points) == (area, degenerate, n)
+        whole = miscalibration_area(replicas, obs)
+        observed, area, degenerate, n = _loop_curve(replicas, obs)
+        assert whole.observed.tobytes() == observed.tobytes()
+        assert (whole.area, whole.degenerate, whole.n_points) == (area, degenerate, n)
