@@ -370,14 +370,10 @@ def _detection_stage(out, parts: _Splits, ev: dict, multi=None, singles=None):
     entries, multi_scores, single_scores = {}, None, None
     if multi is not None:
         spec, params = multi
-        val_scores = [
-            s.aggregate
-            for s in E.score(params, spec, parts.val_normal, batch_size=ev["batch_size"])
-        ]
-        threshold = E.pick_threshold(val_scores, ev["fpr_budget"])
+        val_scores = E.score(params, spec, parts.val_normal, batch_size=ev["batch_size"])
+        threshold = E.pick_threshold(val_scores.aggregate, ev["fpr_budget"])
         multi_scores = E.score(params, spec, parts.test, **draws)
-        agg = np.array([s.aggregate for s in multi_scores])
-        labels = np.array([s.label for s in multi_scores])
+        agg, labels = multi_scores.aggregate, multi_scores.label
         flags = E.flagged(agg, threshold)
         normal_mask = labels == D.NORMAL_LABEL
         entries.update(
@@ -403,11 +399,12 @@ def _detection_stage(out, parts: _Splits, ev: dict, multi=None, singles=None):
         print(f"threshold {threshold:.6g} (budget {ev['fpr_budget']})")
 
     if singles is not None:
-        single_scores = {}
-        for module, (spec, params) in singles.items():
-            single_scores[module] = E.score(params, spec, parts.test.module_rows(module), **draws)
-            for s in single_scores[module]:
-                s.module_id = int(module)
+        # a vae model reads no module ids, so its scores keep the real module
+        test = parts.test
+        single_scores = {
+            module: E.score(params, spec, test.select(test.module_ids == module), **draws)
+            for module, (spec, params) in singles.items()
+        }
         if multi_scores is not None:
             cells = E.compare_methods(multi_scores, single_scores)
             E.write_comparison_csv(os.path.join(out, "report.csv"), cells)
@@ -745,8 +742,9 @@ def cmd_reproduce(args) -> int:
         spec = _model_spec(file_cfg, wt, "cvae", sized("model", {}))
         resolved = {"generate": gen, "split": parts.config, "train": dataclasses.asdict(tc)}
         if name == "detection":
-            resolved["eval"] = C.resolve_section(file_cfg, "eval", sized("eval", EVAL_DEFAULTS))
-            _reproduce_detection(exp_dir, spec, parts, tc, resolved["eval"], seed, jobs)
+            ev = C.resolve_section(file_cfg, "eval", sized("eval", EVAL_DEFAULTS))
+            resolved["eval"] = {**ev, "mode": "sampled", "seed": seed}
+            _reproduce_detection(exp_dir, spec, parts, tc, resolved["eval"], jobs)
         elif name == "depth":
             ls = C.resolve_section(file_cfg, "landscape", sized("landscape", LANDSCAPE_DEFAULTS))
             _depth_stage(exp_dir, spec, parts, tc, ls, jobs)
@@ -755,9 +753,10 @@ def cmd_reproduce(args) -> int:
             uc = C.resolve_section(file_cfg, "uq", sized("uq", UQ_DEFAULTS))
             model = _train_stage(os.path.join(exp_dir, "model"), spec, parts, tc)
             normals = parts.test.select(parts.test.normal_mask())
+            uc.update(examples=min(uc["examples"], normals.n_samples), seed=seed)
             _calibration_stage(
-                exp_dir, spec, model.params, normals, min(uc["examples"], normals.n_samples),
-                uc["n_draws"], seed, parts.names, jobs=jobs, bands=False,
+                exp_dir, spec, model.params, normals, uc["examples"], uc["n_draws"],
+                uc["seed"], parts.names, jobs=jobs, bands=False,
             )
             resolved["uq"] = uc
         _write_resolved(exp_dir, resolved)
@@ -766,16 +765,17 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
-def _reproduce_detection(exp_dir, spec, parts: _Splits, tc, ev, seed, jobs) -> None:
-    """Both model kinds, sampled scores, every detection metric, and the
-    uncertainty bands of the first normal and first abnormal test sample."""
+def _reproduce_detection(exp_dir, spec, parts: _Splits, tc, ev, jobs) -> None:
+    """Both model kinds, scores in ``ev``'s (sampled) mode, every detection
+    metric, and the uncertainty bands of the first normal and first abnormal
+    test sample."""
     models_dir = os.path.join(exp_dir, "models")
     cvae = _train_stage(os.path.join(models_dir, "cvae"), spec, parts, tc)
     suite = _train_stage(models_dir, dataclasses.replace(spec, mode="vae"), parts, tc, jobs)
     metrics_dir = os.path.join(exp_dir, "metrics")
     os.makedirs(metrics_dir, exist_ok=True)
     entries, _ = _detection_stage(
-        metrics_dir, parts, {**ev, "mode": "sampled", "seed": seed},
+        metrics_dir, parts, ev,
         multi=(spec, cvae.params),
         singles={m: (r.spec, r.params) for m, r in suite.items()},
     )
@@ -790,7 +790,7 @@ def _reproduce_detection(exp_dir, spec, parts: _Splits, tc, ev, seed, jobs) -> N
     for idx in (*np.flatnonzero(normal)[:1], *np.flatnonzero(~normal)[:1]):
         sample = parts.test.select(np.array([idx]))
         reps = U.replicate(cvae.params, spec, sample.data, sample.module_ids,
-                           n_draws=ev["n_draws"], seed=seed)
+                           n_draws=ev["n_draws"], seed=ev["seed"])
         U.write_bands_csv(
             os.path.join(bands_dir, f"bands_{int(sample.sample_ids[0])}.csv"),
             reps, 0, parts.names,

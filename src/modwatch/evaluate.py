@@ -7,7 +7,6 @@ sample is flagged anomalous when score >= threshold.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -17,7 +16,7 @@ from .data import WaveformTensor
 from .errors import ConfigError, DataError, ShapeError
 from .model import ModelParameters, ModelSpec
 from .tensor import Tensor
-from .util import seeded_rng, write_csv
+from .util import parallel_map, seeded_rng, write_csv
 
 _DRAW_TAG = 0x5C02
 DENSITY_EDGES = 10.0 ** (np.arange(33) * 0.25 - 7.0)  # 1e-7 .. 1e1, 0.25 decades
@@ -25,12 +24,41 @@ DENSITY_EDGES = 10.0 ** (np.arange(33) * 0.25 - 7.0)  # 1e-7 .. 1e1, 0.25 decade
 
 @dataclass
 class AnomalyScore:
+    """One row of a ScoreTable."""
+
     sample_id: int
     module_id: int
     label: str
     channel_mse: np.ndarray  # (channels,) float64
     aggregate: float
     replica_aggregates: np.ndarray | None = None  # (n_draws,) in sampled mode
+
+
+@dataclass(eq=False)
+class ScoreTable:
+    """Scores of N samples as columns named like the fields of AnomalyScore;
+    ``table[i]`` is row i as an AnomalyScore."""
+
+    sample_id: np.ndarray  # (N,) int64
+    module_id: np.ndarray  # (N,) int64
+    label: np.ndarray  # (N,) str
+    channel_mse: np.ndarray  # (N, channels) float64
+    aggregate: np.ndarray  # (N,) float64, the mean over channels
+    replica_aggregates: np.ndarray | None = None  # (N, n_draws) in sampled mode
+
+    def __len__(self) -> int:
+        return self.sample_id.size
+
+    def __getitem__(self, i: int) -> AnomalyScore:
+        reps = self.replica_aggregates
+        return AnomalyScore(
+            int(self.sample_id[i]), int(self.module_id[i]), str(self.label[i]),
+            self.channel_mse[i], float(self.aggregate[i]),
+            None if reps is None else reps[i].copy(),
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass
@@ -42,8 +70,8 @@ class RocCurve:
     negative_count: int
 
 
-def _channel_mse(x: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
-    err = (x.astype(np.float64) - x_hat.astype(np.float64)) ** 2
+def _channel_mse(x64: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
+    err = (x64 - x_hat.astype(np.float64)) ** 2
     return err.mean(axis=1)  # (batch, channels)
 
 
@@ -56,7 +84,7 @@ def score(
     seed: int = 0,
     batch_size: int = 32,
     jobs: int = 1,
-) -> list[AnomalyScore]:
+) -> ScoreTable:
     """Reconstruction-error scores for every sample in ``data``.
 
     ``deterministic`` mode decodes from z = mu.  ``sampled`` mode averages
@@ -79,50 +107,36 @@ def score(
 
     params = params.frozen()  # forward only: no tape
     n = data.n_samples
-    starts = list(range(0, n, batch_size))
+    channel_mse = np.empty((n, spec.channels), dtype=np.float64)
+    replicas = np.empty((n, n_draws), dtype=np.float64) if mode == "sampled" else None
 
-    def _score_batch(start: int):
-        stop = min(start + batch_size, n)
-        x = data.data[start:stop]
-        ids = data.module_ids[start:stop] if spec.mode == "cvae" else None
+    def _score_batch(start: int) -> None:
+        rows = slice(start, min(start + batch_size, n))
+        x = data.data[rows]
+        x64 = x.astype(np.float64)
+        ids = data.module_ids[rows] if spec.mode == "cvae" else None
         if mode == "deterministic":
-            x_hat = M.reconstruct(params, spec, x, ids, epsilon=None)
-            ch = _channel_mse(x, x_hat)
-            return start, ch, None
-        ch_sum = np.zeros((stop - start, spec.channels), dtype=np.float64)
-        reps = np.zeros((n_draws, stop - start), dtype=np.float64)
-        xt = Tensor(x)
-        dist = M.encode(params, spec, xt, ids)
+            channel_mse[rows] = _channel_mse(x64, M.reconstruct(params, spec, x, ids))
+            return
+        ch_sum = np.zeros((x.shape[0], spec.channels), dtype=np.float64)
+        dist = M.encode(params, spec, Tensor(x), ids)
         for draw in range(n_draws):
             rng = seeded_rng(seed, _DRAW_TAG, draw, start)
-            eps = rng.standard_normal((stop - start, spec.latent_dim)).astype(np.float32)
-            z = M.reparameterize(dist, eps)
-            x_hat = M.decode(params, spec, z, ids).data
-            ch = _channel_mse(x, x_hat)
+            ch = _channel_mse(x64, M.decode_draw(params, spec, dist, ids, rng))
             ch_sum += ch
-            reps[draw] = ch.mean(axis=1)
-        return start, ch_sum / n_draws, reps
+            replicas[rows, draw] = ch.mean(axis=1)
+        channel_mse[rows] = ch_sum / n_draws
 
-    if jobs <= 1:
-        batches = [_score_batch(s) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(_score_batch, starts))
-
-    out: list[AnomalyScore] = []
-    for start, ch, reps in batches:
-        for i in range(ch.shape[0]):
-            out.append(
-                AnomalyScore(
-                    sample_id=int(data.sample_ids[start + i]),
-                    module_id=int(data.module_ids[start + i]),
-                    label=str(data.labels[start + i]),
-                    channel_mse=ch[i],
-                    aggregate=float(ch[i].mean()),
-                    replica_aggregates=None if reps is None else reps[:, i].copy(),
-                )
-            )
-    return out
+    # worker threads fill disjoint rows
+    parallel_map(_score_batch, range(0, n, batch_size), jobs)
+    return ScoreTable(
+        sample_id=data.sample_ids.astype(np.int64),
+        module_id=data.module_ids.astype(np.int64),
+        label=data.labels.copy(),
+        channel_mse=channel_mse,
+        aggregate=channel_mse.mean(axis=1),
+        replica_aggregates=replicas,
+    )
 
 
 def _rank_auc(neg: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -226,35 +240,22 @@ def density_counts(values) -> np.ndarray:
     return counts
 
 
-def _columns(scores: list[AnomalyScore]):
-    """Sample ids, module ids, labels and an (N, channels + 1) float64
-    matrix holding each sample's aggregate and then its channel scores."""
-    return (
-        np.array([s.sample_id for s in scores], dtype=np.int64),
-        np.array([s.module_id for s in scores], dtype=np.int64),
-        np.array([s.label for s in scores], dtype=str),
-        np.column_stack([
-            np.array([s.aggregate for s in scores], dtype=np.float64),
-            np.array([s.channel_mse for s in scores], dtype=np.float64),
-        ]),
-    )
-
-
 def summarize(
-    scores: list[AnomalyScore], channel_names: list[str]
+    scores: ScoreTable, channel_names: list[str]
 ) -> tuple[list[dict], list[dict]]:
     """Box statistics per (module, label, channel) and pooled log-bin
     densities per (label, channel); 'aggregate' rows cover the per-sample
     mean score."""
     if not scores:
         raise DataError("no scores to summarize")
-    _, modules, labels, values = _columns(scores)
+    modules, labels = scores.module_id, scores.label
     names = ["aggregate", *channel_names]
+    values = np.column_stack([scores.aggregate, scores.channel_mse])[:, : len(names)]
 
     box_rows = []
     for module, label in sorted(set(zip(modules.tolist(), labels.tolist()))):
         group = (modules == module) & (labels == label)
-        per_channel = np.ascontiguousarray(values[group, : len(names)].T)
+        per_channel = np.ascontiguousarray(values[group].T)
         for name, st in zip(names, _box_rows(per_channel)):
             box_rows.append(
                 {
@@ -292,19 +293,20 @@ def summarize(
 
 
 def auc_table(
-    scores: list[AnomalyScore], channel_names: list[str], normal_label: str = "normal"
+    scores: ScoreTable, channel_names: list[str], normal_label: str = "normal"
 ) -> list[dict]:
     """Per fault class: aggregate AUC pooled and per module, plus
     per-channel AUCs ranked by detection strength."""
-    _, modules, labels, values = _columns(scores)
+    modules, labels = scores.module_id, scores.label
     normal = labels == normal_label
     if not normal.any():
         raise DataError("no normal samples to compare against")
     names = ["aggregate", *channel_names]
+    values = np.column_stack([scores.aggregate, scores.channel_mse])[:, : len(names)]
     rows = []
     for fault in np.unique(labels[~normal]).tolist():
         abnormal = labels == fault
-        aucs = _rank_auc(values[normal, : len(names)], values[abnormal, : len(names)])
+        aucs = _rank_auc(values[normal], values[abnormal])
         channel_rows = [
             {
                 "fault": fault,
@@ -343,15 +345,6 @@ def auc_table(
     return rows
 
 
-def _replicas(scores: list[AnomalyScore]) -> np.ndarray | None:
-    """(N, n_draws) per-draw aggregates, or None when a sample has none."""
-    if not scores or any(s.replica_aggregates is None for s in scores):
-        return None
-    if len({s.replica_aggregates.size for s in scores}) != 1:
-        raise DataError("replica counts differ between samples")
-    return np.stack([s.replica_aggregates for s in scores]).astype(np.float64, copy=False)
-
-
 @dataclass
 class ComparisonCell:
     fault: str
@@ -370,48 +363,48 @@ class ComparisonCell:
         return self.auc_multi - self.auc_single
 
 
-def _method_auc(values, replicas, neg, pos) -> tuple[float, float | None]:
+def _method_auc(scores: ScoreTable, neg, pos) -> tuple[float, float | None]:
     """Aggregate AUC of one method on one cell, and its spread over draws."""
-    auc = float(_rank_auc(values[neg, :1], values[pos, :1])[0])
+    auc = float(_rank_auc(scores.aggregate[neg, None], scores.aggregate[pos, None])[0])
+    replicas = scores.replica_aggregates
     if replicas is None:
         return auc, None
     return auc, float(_rank_auc(replicas[neg], replicas[pos]).std())
 
 
 def compare_methods(
-    multi_scores: list[AnomalyScore],
-    single_scores: dict[int, list[AnomalyScore]],
+    multi_scores: ScoreTable,
+    single_scores: dict[int, ScoreTable],
     normal_label: str = "normal",
 ) -> list[ComparisonCell]:
     """AUC of the multi-module model vs the per-module models on the same
     test set, one cell per (fault class, module); cells without fault or
     normal samples are marked absent (None) rather than zero."""
-    ids, modules, labels, values = _columns(multi_scores)
-    replicas = _replicas(multi_scores)
-    single = {}
-    for m in np.unique(modules).tolist():
+    modules, labels = multi_scores.module_id, multi_scores.label
+    present = np.unique(modules).tolist()
+    for m in present:
         if m not in single_scores:
             raise DataError(f"no single-module scores for module {m}")
-        s_ids, _, s_labels, s_values = _columns(single_scores[m])
-        if not np.array_equal(np.sort(ids[modules == m]), np.sort(s_ids)):
+        ids = multi_scores.sample_id[modules == m]
+        if not np.array_equal(np.sort(ids), np.sort(single_scores[m].sample_id)):
             raise DataError(f"methods scored different sample sets for module {m}")
-        single[m] = s_labels, s_values, _replicas(single_scores[m])
 
     cells = []
     for fault in np.unique(labels[labels != normal_label]).tolist():
-        for m, (s_labels, s_values, s_replicas) in single.items():
+        for m in present:
             neg = (modules == m) & (labels == normal_label)
             pos = (modules == m) & (labels == fault)
             n_neg, n_pos = int(neg.sum()), int(pos.sum())
             if not n_pos or not n_neg:
                 cells.append(ComparisonCell(fault, m, n_neg, n_pos, None, None, None, None))
                 continue
+            single = single_scores[m]
             cells.append(
                 ComparisonCell(
                     fault, m, n_neg, n_pos,
-                    *_method_auc(values, replicas, neg, pos),
+                    *_method_auc(multi_scores, neg, pos),
                     *_method_auc(
-                        s_values, s_replicas, s_labels == normal_label, s_labels == fault
+                        single, single.label == normal_label, single.label == fault
                     ),
                 )
             )
@@ -421,14 +414,12 @@ def compare_methods(
 # ---------------------------------------------------------------- CSV output
 
 
-def write_scores_csv(path, scores: list[AnomalyScore], channel_names: list[str]) -> None:
-    mse = np.array([s.channel_mse for s in scores], dtype=np.float64)
+def write_scores_csv(path, scores: ScoreTable, channel_names: list[str]) -> None:
     write_csv(
         path,
         ["sample_id", "module", "label", *channel_names, "aggregate"],
-        [[s.sample_id for s in scores], [s.module_id for s in scores],
-         [s.label for s in scores], *mse.reshape(len(scores), len(channel_names)).T,
-         [s.aggregate for s in scores]],
+        [scores.sample_id, scores.module_id, scores.label, *scores.channel_mse.T,
+         scores.aggregate],
     )
 
 

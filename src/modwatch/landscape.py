@@ -8,7 +8,6 @@ changing a single bit of the result.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -18,7 +17,7 @@ from .errors import ConfigError, DataError, NumericError, ShapeError
 from .model import LayerWeights, ModelParameters, ModelSpec
 from .tensor import DTYPE, Tensor
 from .train import TrainConfig, dataset_loss, train
-from .util import seeded_rng, sha256_bytes, write_csv
+from .util import parallel_map, seeded_rng, sha256_bytes, write_csv
 
 _DIRECTION_TAG = 0xD1A
 
@@ -165,11 +164,7 @@ def evaluate_grid(
                 return float("inf")
 
     cells = [(i, j) for i in range(resolution) for j in range(resolution)]
-    if jobs <= 1:
-        values = [_cell(alphas[i], betas[j]) for i, j in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(lambda ij: _cell(alphas[ij[0]], betas[ij[1]]), cells))
+    values = parallel_map(lambda ij: _cell(alphas[ij[0]], betas[ij[1]]), cells, jobs)
 
     losses = np.empty((resolution, resolution), dtype=np.float64)
     for (i, j), v in zip(cells, values):

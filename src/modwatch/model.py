@@ -286,6 +286,19 @@ def decode(
     return h
 
 
+def decode_draw(
+    params: ModelParameters,
+    spec: ModelSpec,
+    dist: LatentDistribution,
+    module_ids: np.ndarray | None,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Decode one latent draw: eps ~ N(0, I) from ``rng`` in the dims of
+    ``dist.mu``, reparameterized, then decoded to a plain array."""
+    eps = rng.standard_normal(dist.mu.dims).astype(DTYPE)
+    return decode(params, spec, reparameterize(dist, eps), module_ids).data
+
+
 def mse(x: Tensor, x_hat: Tensor) -> Tensor:
     """Mean squared error over every element, accumulated in 64-bit."""
     if x.dims != x_hat.dims:

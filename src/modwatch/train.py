@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,7 +20,7 @@ from .errors import ConfigError, DataError, NumericError, ShapeError, TrainingDi
 from .model import LossBreakdown, ModelParameters, ModelSpec
 from .optim import AdamState, adam_step
 from .tensor import Tensor, backward
-from .util import atomic_open, seeded_rng, write_csv
+from .util import atomic_open, parallel_map, seeded_rng, write_csv
 
 _EPOCH_TAG = 0xE70C
 
@@ -187,8 +186,13 @@ def train(
                         f"non-finite loss at epoch {epoch}, batch starting {start}"
                     ) from exc
                 params.zero_grads()
-                backward(tensors.total)
-                adam_step(params.named_tensors(), adam)
+                try:
+                    backward(tensors.total)
+                    adam_step(params.named_tensors(), adam)
+                except NumericError as exc:
+                    raise TrainingDiverged(
+                        f"non-finite gradient at epoch {epoch}, batch starting {start}"
+                    ) from exc
             sums += np.array([br.reconstruction, br.kld]) * take.size
         rec, kld = (sums / n).tolist()
         train_br = LossBreakdown(rec, kld, config.eta, rec + config.eta * kld)
@@ -302,9 +306,4 @@ def train_single_module_suite(
             module_dir = os.path.join(out_dir, f"vae_module_{module_id}")
         return module_id, train(single_spec, tr, va, config, out_dir=module_dir)
 
-    if jobs <= 1:
-        results = [_one(m) for m in modules]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_one, modules))
-    return dict(results)
+    return dict(parallel_map(_one, modules, jobs))

@@ -9,7 +9,6 @@ the diagonal.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ from . import model as M
 from .errors import ConfigError, DataError, ShapeError
 from .model import ModelParameters, ModelSpec
 from .tensor import Tensor
-from .util import seeded_rng, write_csv
+from .util import parallel_map, seeded_rng, write_csv
 
 _DRAW_TAG = 0x0E9
 _PICK_TAG = 0x9B1
@@ -45,13 +44,11 @@ class ReplicaSet:
     def n_draws(self) -> int:
         return self.draws.shape[0]
 
-    @property
-    def mean(self) -> np.ndarray:
-        return self.draws.astype(np.float64).mean(axis=0)
-
-    @property
-    def sd(self) -> np.ndarray:
-        return self.draws.astype(np.float64).std(axis=0)
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pointwise mean and SD over the draws, from one float64 copy."""
+        d = self.draws.astype(np.float64)
+        mean = d.mean(axis=0, keepdims=True)
+        return mean[0], np.std(d, axis=0, mean=mean)
 
 
 def replicate(
@@ -75,17 +72,9 @@ def replicate(
     dist = M.encode(params, spec, Tensor(x), module_ids)
 
     def _draw(i: int) -> np.ndarray:
-        rng = seeded_rng(seed, _DRAW_TAG, i)
-        eps = rng.standard_normal((x.shape[0], spec.latent_dim)).astype(np.float32)
-        z = M.reparameterize(dist, eps)
-        return M.decode(params, spec, z, module_ids).data
+        return M.decode_draw(params, spec, dist, module_ids, seeded_rng(seed, _DRAW_TAG, i))
 
-    if jobs <= 1:
-        stack = [_draw(i) for i in range(n_draws)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            stack = list(pool.map(_draw, range(n_draws)))
-    return ReplicaSet(draws=np.stack(stack), seed=seed)
+    return ReplicaSet(draws=np.stack(parallel_map(_draw, range(n_draws), jobs)), seed=seed)
 
 
 @dataclass
@@ -108,7 +97,7 @@ def miscalibration_area(replicas: ReplicaSet, observed_x: np.ndarray) -> Calibra
     obs = np.asarray(observed_x, dtype=np.float64)
     if obs.shape != replicas.draws.shape[1:]:
         raise ShapeError(f"observation dims {obs.shape} vs replicas {replicas.draws.shape[1:]}")
-    return _curve(replicas.mean, replicas.sd, obs)
+    return _curve(*replicas.moments(), obs)
 
 
 def _curve(mean: np.ndarray, sd: np.ndarray, obs: np.ndarray) -> CalibrationCurve:
@@ -139,7 +128,7 @@ def per_channel_calibration(
         raise ShapeError(
             f"observation dims {obs.shape} vs replicas {replicas.draws.shape[1:]}"
         )
-    mean, sd = replicas.mean, replicas.sd
+    mean, sd = replicas.moments()
     return [_curve(mean[..., c], sd[..., c], obs[..., c]) for c in range(obs.shape[2])]
 
 
@@ -176,12 +165,12 @@ def write_bands_csv(path, replicas: ReplicaSet, sample_index: int,
         raise DataError(f"sample index {sample_index} out of range")
     if len(channel_names) != channels:
         raise ShapeError(f"{len(channel_names)} names for {channels} channels")
-    sample = ReplicaSet(draws=replicas.draws[:, sample_index], seed=replicas.seed)
+    mean, sd = ReplicaSet(draws=replicas.draws[:, sample_index], seed=replicas.seed).moments()
     write_csv(
         path,
         ["time_step", "channel", "mean", "sd"],
         [np.repeat(np.arange(steps), channels), list(channel_names) * steps,
-         sample.mean.ravel(), sample.sd.ravel()],
+         mean.ravel(), sd.ravel()],
     )
 
 

@@ -1,11 +1,12 @@
-"""Small shared helpers: seeded RNG construction, finiteness checks, and
-the one CSV writer every artifact goes through."""
+"""Small shared helpers: seeded RNG construction, finiteness checks, the
+one worker-thread map, and the one CSV writer every artifact goes through."""
 from __future__ import annotations
 
 import csv
 import hashlib
 import os
 import uuid
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -20,6 +21,15 @@ def seeded_rng(*entropy: int) -> np.random.Generator:
     give independent streams while staying reproducible.
     """
     return np.random.default_rng(np.random.SeedSequence([int(e) for e in entropy]))
+
+
+def parallel_map(fn, items, jobs: int) -> list:
+    """``[fn(item) for item in items]``, spread over ``jobs`` worker threads
+    when ``jobs > 1``; the results keep the order of ``items``."""
+    if jobs <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
 
 
 def check_finite(arr: np.ndarray, what: str) -> np.ndarray:

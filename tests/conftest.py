@@ -1,4 +1,5 @@
-"""Shared test harness: finite-difference gradient checking.
+"""Shared test harness: finite-difference gradient checking, and a
+ScoreTable built from hand-made score rows.
 
 The checker never reuses the implementation under test: callers hand it an
 independent float64 forward function (the oracle), the harness sweeps every
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+
+from modwatch.evaluate import ScoreTable
 
 
 def fd_gradients(oracle, arrays: list[np.ndarray], h: float = 1e-3) -> list[np.ndarray]:
@@ -46,3 +49,19 @@ def assert_gradients_close(analytic, numeric, tol: float = 1e-3, label: str = ""
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def stack_scores(rows) -> ScoreTable:
+    """Stack AnomalyScore rows into the ScoreTable that ``score`` returns."""
+    rows = list(rows)
+    reps = None
+    if rows and rows[0].replica_aggregates is not None:
+        reps = np.array([r.replica_aggregates for r in rows], dtype=np.float64)
+    return ScoreTable(
+        sample_id=np.array([r.sample_id for r in rows], dtype=np.int64),
+        module_id=np.array([r.module_id for r in rows], dtype=np.int64),
+        label=np.array([r.label for r in rows], dtype=str),
+        channel_mse=np.array([r.channel_mse for r in rows], dtype=np.float64),
+        aggregate=np.array([r.aggregate for r in rows], dtype=np.float64),
+        replica_aggregates=reps,
+    )

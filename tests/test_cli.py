@@ -1,4 +1,5 @@
 """End-to-end command-line workflows in temporary directories."""
+import configparser
 import hashlib
 import io
 import os
@@ -396,6 +397,12 @@ def test_reproduce_detection_bundle(tmp_path):
     assert listed == on_disk
     digest, rel = lines[0].split(maxsplit=1)
     assert sha(out / rel) == digest
+    # resolved.ini records how the bundle scored: sampled, with the general seed
+    resolved = configparser.ConfigParser()
+    resolved.read(exp / "resolved.ini")
+    assert dict(resolved["eval"]) == {
+        "batch_size": "32", "fpr_budget": "0.1", "mode": "sampled", "n_draws": "8",
+        "seed": "7"}
 
     # the subcommand chain with the same config and seed writes the same files
     chain = tmp_path / "chain"
@@ -457,6 +464,10 @@ def test_reproduce_depth_and_calibration(tmp_path):
                "--out", str(out), "--seed", "7") == 0
     assert list((out / "calibration").glob("uq_*.csv"))
     assert list((out / "calibration").glob("calibration_*.csv"))
+    # resolved.ini records the general seed and the example count used
+    resolved = configparser.ConfigParser()
+    resolved.read(out / "calibration" / "resolved.ini")
+    assert dict(resolved["uq"]) == {"examples": "3", "n_draws": "8", "seed": "7"}
 
 
 def test_no_subcommand_prints_help(capsys):

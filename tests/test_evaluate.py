@@ -1,4 +1,6 @@
 """Scoring and metric correctness against brute-force oracles."""
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from modwatch.evaluate import (
     _box_rows,
     _rank_auc,
     AnomalyScore,
+    ScoreTable,
     auc_table,
     compare_methods,
     density_counts,
@@ -27,6 +30,8 @@ from modwatch.evaluate import (
     write_roc_csv,
     write_scores_csv,
 )
+
+from conftest import stack_scores
 
 
 def auc_pair_oracle(neg, pos):
@@ -324,19 +329,68 @@ class TestScore:
             score(params, spec, ds)
 
     def test_worker_count_does_not_change_scores(self):
+        # more workers than cores, switching often: each fills its own rows
         spec = tiny_spec()
         params = M.init_parameters(spec, 1)
         ds = toy_set(n=10, seed=8)
-        a = score(params, spec, ds, batch_size=3, jobs=1)
-        b = score(params, spec, ds, batch_size=3, jobs=4)
-        for sa, sb in zip(a, b):
-            assert np.array_equal(sa.channel_mse, sb.channel_mse)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for kw in ({}, {"mode": "sampled", "n_draws": 5}):
+                a = score(params, spec, ds, batch_size=3, jobs=1, **kw)
+                b = score(params, spec, ds, batch_size=3, jobs=4, **kw)
+                assert a.channel_mse.tobytes() == b.channel_mse.tobytes()
+                assert a.aggregate.tobytes() == b.aggregate.tobytes()
+                if kw:
+                    assert a.replica_aggregates.tobytes() == b.replica_aggregates.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_bad_mode_rejected(self):
         spec = tiny_spec()
         params = M.init_parameters(spec, 0)
         with pytest.raises(ConfigError):
             score(params, spec, toy_set(), mode="stochastic")
+
+    def test_returns_one_table_of_columns(self):
+        spec = tiny_spec()
+        params = M.init_parameters(spec, 1)
+        ds = toy_set(n=7, seed=9)
+        det = score(params, spec, ds, batch_size=3)
+        assert isinstance(det, ScoreTable) and len(det) == 7
+        assert det.sample_id.dtype == np.int64 and det.module_id.dtype == np.int64
+        assert np.array_equal(det.sample_id, ds.sample_ids)
+        assert np.array_equal(det.module_id, ds.module_ids)
+        assert det.label.tolist() == ds.labels.tolist()
+        assert det.channel_mse.shape == (7, 3) and det.channel_mse.dtype == np.float64
+        assert np.array_equal(det.aggregate, det.channel_mse.mean(axis=1))
+        assert det.replica_aggregates is None
+        smp = score(params, spec, ds, mode="sampled", n_draws=5, batch_size=3)
+        assert smp.replica_aggregates.shape == (7, 5)
+
+    def test_empty_input_gives_empty_table(self):
+        spec = tiny_spec()
+        params = M.init_parameters(spec, 0)
+        ds = toy_set().select(np.zeros(6, dtype=bool))
+        det = score(params, spec, ds)
+        assert not det and len(det) == 0 and list(det) == []
+        assert det.channel_mse.shape == (0, 3) and det.aggregate.shape == (0,)
+        smp = score(params, spec, ds, mode="sampled", n_draws=4)
+        assert smp.replica_aggregates.shape == (0, 4)
+
+    def test_row_view_has_the_row_types(self):
+        spec = tiny_spec()
+        params = M.init_parameters(spec, 1)
+        table = score(params, spec, toy_set(seed=2), mode="sampled", n_draws=3)
+        row = table[1]
+        assert isinstance(row, AnomalyScore)
+        assert type(row.sample_id) is int and type(row.module_id) is int
+        assert type(row.label) is str and type(row.aggregate) is float
+        assert np.array_equal(row.channel_mse, table.channel_mse[1])
+        assert np.array_equal(row.replica_aggregates, table.replica_aggregates[1])
+        row.replica_aggregates[0] = -1.0  # a copy: the table keeps its draws
+        assert table.replica_aggregates[1, 0] != -1.0
+        assert [r.sample_id for r in table] == table.sample_id.tolist()
 
 
 def box_stats(values):
@@ -403,7 +457,7 @@ def synthetic_scores(rng, n_normal=30, n_fault=10, modules=(0, 1), fault="IGBT",
                 )
             )
             sid += 1
-    return out
+    return stack_scores(out)
 
 
 class TestSummarize:
@@ -421,7 +475,7 @@ class TestSummarize:
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            summarize([], ["c0"])
+            summarize(stack_scores([]), ["c0"])
 
 
 class TestAucTable:
@@ -436,7 +490,7 @@ class TestAucTable:
         assert {r["module"] for r in module_rows} == {0, 1}
 
     def test_requires_normals(self, rng):
-        scores = [s for s in synthetic_scores(rng) if s.label != D.NORMAL_LABEL]
+        scores = stack_scores(s for s in synthetic_scores(rng) if s.label != D.NORMAL_LABEL)
         with pytest.raises(DataError):
             auc_table(scores, ["c0", "c1", "c2"])
 
@@ -444,9 +498,7 @@ class TestAucTable:
 class TestCompareMethods:
     def test_identical_scores_give_zero_delta(self, rng):
         multi = synthetic_scores(rng, draws=6)
-        single = {
-            m: [s for s in multi if s.module_id == m] for m in (0, 1)
-        }
+        single = {m: stack_scores(s for s in multi if s.module_id == m) for m in (0, 1)}
         cells = compare_methods(multi, single)
         for c in cells:
             assert c.delta == 0.0
@@ -455,27 +507,28 @@ class TestCompareMethods:
     def test_absent_cells_marked_none(self, rng):
         multi = synthetic_scores(rng, modules=(0, 1))
         # strip module-1 faults: that cell must come back absent, not zero
-        multi = [s for s in multi if not (s.label != D.NORMAL_LABEL and s.module_id == 1)]
-        single = {m: [s for s in multi if s.module_id == m] for m in (0, 1)}
+        multi = stack_scores(
+            s for s in multi if not (s.label != D.NORMAL_LABEL and s.module_id == 1))
+        single = {m: stack_scores(s for s in multi if s.module_id == m) for m in (0, 1)}
         cells = compare_methods(multi, single)
         cell = next(c for c in cells if c.module == 1)
         assert cell.auc_multi is None and cell.auc_single is None and c_delta_none(cell)
 
     def test_mismatched_sample_sets_rejected(self, rng):
         multi = synthetic_scores(rng)
-        single = {m: [s for s in multi if s.module_id == m][:-1] for m in (0, 1)}
+        single = {m: stack_scores([s for s in multi if s.module_id == m][:-1]) for m in (0, 1)}
         with pytest.raises(DataError, match="different sample sets"):
             compare_methods(multi, single)
 
     def test_missing_module_rejected(self, rng):
         multi = synthetic_scores(rng)
-        single = {0: [s for s in multi if s.module_id == 0]}
+        single = {0: stack_scores(s for s in multi if s.module_id == 0)}
         with pytest.raises(DataError, match="no single-module scores"):
             compare_methods(multi, single)
 
     def test_sd_none_without_replicas(self, rng):
         multi = synthetic_scores(rng, draws=None)
-        single = {m: [s for s in multi if s.module_id == m] for m in (0, 1)}
+        single = {m: stack_scores(s for s in multi if s.module_id == m) for m in (0, 1)}
         cells = compare_methods(multi, single)
         assert all(c.sd_multi is None for c in cells if c.auc_multi is not None)
 
@@ -491,7 +544,7 @@ class TestCsvWriters:
         box_rows, density_rows = summarize(scores, names)
         rows = auc_table(scores, names)
         curve = roc_auc([1, 2, 3], [2, 3, 4])
-        single = {m: [s for s in scores if s.module_id == m] for m in (0, 1)}
+        single = {m: stack_scores(s for s in scores if s.module_id == m) for m in (0, 1)}
         cells = compare_methods(scores, single)
 
         write_scores_csv(tmp_path / "scores.csv", scores, names)

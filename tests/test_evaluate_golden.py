@@ -26,6 +26,8 @@ from modwatch.evaluate import (
     write_scores_csv,
 )
 
+from conftest import stack_scores
+
 NAMES = ["ch0", "ch1", "ch2"]
 DRAWS = 5
 # (module, label, count); module 3 has no normals, TPS skips modules 0 and 2,
@@ -63,7 +65,7 @@ def golden_scores():
     single = {}
     for s in multi:
         single.setdefault(s.module_id, []).append(_score(rng, s.sample_id, s.module_id, s.label))
-    return multi, single
+    return stack_scores(multi), {m: stack_scores(rows) for m, rows in single.items()}
 
 
 def write_all(out):
@@ -74,10 +76,10 @@ def write_all(out):
     write_density_csv(out / "density.csv", density_rows)
     write_auc_table_csv(out / "auc_table.csv", auc_table(multi, NAMES))
     write_comparison_csv(out / "report.csv", compare_methods(multi, single))
-    normals = [s.aggregate for s in multi if s.label == D.NORMAL_LABEL]
-    for fault in sorted({s.label for s in multi} - {D.NORMAL_LABEL}):
-        abnormal = [s.aggregate for s in multi if s.label == fault]
-        write_roc_csv(out / f"roc_{fault.replace('/', '-')}.csv", roc_auc(normals, abnormal))
+    normal = multi.label == D.NORMAL_LABEL
+    for fault in sorted(set(multi.label.tolist()) - {D.NORMAL_LABEL}):
+        curve = roc_auc(multi.aggregate[normal], multi.aggregate[multi.label == fault])
+        write_roc_csv(out / f"roc_{fault.replace('/', '-')}.csv", curve)
 
 
 GOLDEN = {

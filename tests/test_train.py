@@ -7,8 +7,9 @@ import pytest
 
 from modwatch import data as D
 from modwatch import model as M
+from modwatch import train as train_module
 from modwatch.checkpoint import checkpoint_bytes, load_checkpoint
-from modwatch.errors import ConfigError, DataError, ShapeError, TrainingDiverged
+from modwatch.errors import ConfigError, DataError, NumericError, ShapeError, TrainingDiverged
 from modwatch.train import (
     TrainConfig,
     dataset_loss,
@@ -224,6 +225,30 @@ class TestInputChecks:
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingDiverged, match="epoch"):
                 train(spec, tr, va, cfg)
+
+    def test_non_finite_gradient_names_epoch_and_batch(self, monkeypatch):
+        made = []
+        real_init, real_backward = M.init_parameters, train_module.backward
+
+        def init_parameters(*args, **kwargs):
+            made.append(real_init(*args, **kwargs))
+            return made[-1]
+
+        def nan_backward(loss):
+            real_backward(loss)
+            nan_backward.calls += 1
+            if nan_backward.calls == 3:  # 2 batches an epoch: epoch 2's first
+                made[0].named_tensors()[0][1].grad.flat[0] = np.nan
+
+        nan_backward.calls = 0
+        monkeypatch.setattr(M, "init_parameters", init_parameters)
+        monkeypatch.setattr(train_module, "backward", nan_backward)
+        cfg = TrainConfig(batch_size=4, max_epochs=3, seed=0)
+        with pytest.raises(TrainingDiverged) as info:
+            train(tiny_spec(), toy_waveforms(8), toy_waveforms(4, id_offset=100), cfg)
+        assert str(info.value) == "non-finite gradient at epoch 2, batch starting 0"
+        assert isinstance(info.value, NumericError)  # the CLI's exit code 3
+        assert "adam: non-finite gradient" in str(info.value.__cause__)
 
 
 class TestDatasetLoss:

@@ -52,9 +52,10 @@ class TestReplicate:
         x, ids = toy_batch()
         reps = replicate(params, spec, x, ids, n_draws=6, seed=1)
         assert reps.draws.shape == (6, 3, 16, 3)
-        assert reps.mean.shape == (3, 16, 3)
-        assert np.all(reps.sd >= 0)
-        assert np.allclose(reps.mean, reps.draws.astype(np.float64).mean(axis=0), atol=1e-6)
+        mean, sd = reps.moments()
+        assert mean.shape == (3, 16, 3)
+        assert np.all(sd >= 0)
+        assert np.allclose(mean, reps.draws.astype(np.float64).mean(axis=0), atol=1e-6)
 
     def test_same_seed_identical(self):
         spec = tiny_spec()
@@ -80,7 +81,7 @@ class TestReplicate:
         params.layers["enc.logvar"].bias.data[...] = -100.0
         x, ids = toy_batch()
         reps = replicate(params, spec, x, ids, n_draws=8, seed=2)
-        assert np.all(reps.sd == 0.0)
+        assert np.all(reps.moments()[1] == 0.0)
         for i in range(1, 8):
             assert np.array_equal(reps.draws[i], reps.draws[0])
 
@@ -111,8 +112,8 @@ class TestReplicate:
         x, ids = toy_batch(n=2, seed=7)
         half = replicate(params, spec, x, ids, n_draws=500, seed=1)
         full = replicate(params, spec, x, ids, n_draws=1000, seed=1)
-        num = np.linalg.norm(half.sd - full.sd)
-        den = np.linalg.norm(full.sd)
+        num = np.linalg.norm(half.moments()[1] - full.moments()[1])
+        den = np.linalg.norm(full.moments()[1])
         assert num / den < 0.1
 
 
@@ -135,7 +136,8 @@ class TestMiscalibrationArea:
         mean = rng.standard_normal(shape)
         sd = 0.5 + rng.random(shape)
         reps = exact_replicas(mean, sd)
-        obs = reps.mean + reps.sd * rng.standard_normal(shape)
+        rep_mean, rep_sd = reps.moments()
+        obs = rep_mean + rep_sd * rng.standard_normal(shape)
         curve = miscalibration_area(reps, obs)
         assert curve.area < 0.02
         assert not curve.degenerate
@@ -144,7 +146,7 @@ class TestMiscalibrationArea:
     def test_observation_equal_to_mean_gives_half(self, rng):
         mean = rng.standard_normal((2, 8, 3))
         reps = exact_replicas(mean, 0.3 + rng.random((2, 8, 3)))
-        curve = miscalibration_area(reps, reps.mean)
+        curve = miscalibration_area(reps, reps.moments()[0])
         assert np.all(curve.observed == 1.0)
         assert curve.area == pytest.approx(0.5, abs=1e-12)
 
@@ -197,7 +199,7 @@ class TestMiscalibrationArea:
         assert curve.degenerate
         assert np.all(curve.observed == 0.0)
         assert curve.area == pytest.approx(0.5, abs=1e-12)
-        assert (reps.sd < SD_FLOOR).all()
+        assert (reps.moments()[1] < SD_FLOOR).all()
 
     def test_shape_mismatch_rejected(self, rng):
         reps = exact_replicas(np.zeros((1, 8, 2)), np.ones((1, 8, 2)))
@@ -242,7 +244,7 @@ class TestUqCsv:
     def test_uq_and_bands_files(self, rng, tmp_path):
         shape = (2, 6, 3)
         reps = exact_replicas(rng.standard_normal(shape), 0.1 + rng.random(shape))
-        obs = reps.mean
+        obs = reps.moments()[0]
         curves = per_channel_calibration(reps, obs)
         names = ["c0", "c1", "c2"]
 
@@ -272,7 +274,8 @@ class TestUqCsv:
 def _loop_curve(replicas, obs):
     """The calibration curve as one np.mean per proportion, over a float64
     mean and SD taken from the draws it is given."""
-    mean, sd = replicas.mean, replicas.sd
+    draws = replicas.draws.astype(np.float64)
+    mean, sd = draws.mean(axis=0), draws.std(axis=0)
     degenerate = bool((sd < SD_FLOOR).any())
     sd = np.maximum(sd, SD_FLOOR).ravel()
     resid = np.abs(obs - mean).ravel()
@@ -323,3 +326,16 @@ class TestCalibrationOracle:
         observed, area, degenerate, n = _loop_curve(replicas, obs)
         assert whole.observed.tobytes() == observed.tobytes()
         assert (whole.area, whole.degenerate, whole.n_points) == (area, degenerate, n)
+
+    @given(
+        dims=st.tuples(st.integers(2, 12), st.integers(1, 3), st.integers(1, 40),
+                       st.integers(1, 5)),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-14, 1e-3, 1.0, 1e5]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_moments_match_separate_reductions(self, dims, seed, scale):
+        draws = (np.random.default_rng(seed).standard_normal(dims) * scale).astype(np.float32)
+        mean, sd = ReplicaSet(draws=draws, seed=seed).moments()
+        assert mean.tobytes() == draws.astype(np.float64).mean(axis=0).tobytes()
+        assert sd.tobytes() == draws.astype(np.float64).std(axis=0).tobytes()
