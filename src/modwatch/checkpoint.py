@@ -18,9 +18,11 @@ MAGIC = b"MWCK"
 VERSION = 1
 
 
-def save_checkpoint(path, spec: ModelSpec, params: ModelParameters) -> None:
-    fh, owned = ser.open_maybe(path, "wb")
-    try:
+def save_checkpoint(path, spec: ModelSpec, params: ModelParameters) -> str:
+    """Write a checkpoint to ``path`` (atomically) or to an open binary
+    file, and return the SHA-256 hex digest of the bytes written."""
+    with ser.open_for_write(path) as raw:
+        fh = ser.HashingWriter(raw)
         fh.write(MAGIC)
         ser.write_u32(fh, VERSION)
         ser.write_kv_block(fh, spec.to_kv())
@@ -30,9 +32,7 @@ def save_checkpoint(path, spec: ModelSpec, params: ModelParameters) -> None:
             ser.write_str(fh, lw.kind)
             ser.write_f32_array(fh, lw.kernels.data)
             ser.write_f32_array(fh, lw.bias.data)
-    finally:
-        if owned:
-            fh.close()
+    return fh.sha256.hexdigest()
 
 
 def load_checkpoint(path) -> tuple[ModelSpec, ModelParameters]:

@@ -11,6 +11,7 @@ import configparser
 import os
 
 from .errors import ConfigError
+from .util import atomic_open
 
 ENV_SEED = "MODWATCH_SEED"
 
@@ -163,7 +164,8 @@ def resolve_seed(flag_seed, file_cfg: dict[str, dict[str, str]],
 
 
 def write_resolved_config(path, sections: dict[str, dict]) -> None:
-    """Self-documenting dump of every setting a run actually used."""
+    """Self-documenting dump of every setting a run actually used, written
+    atomically."""
     parser = configparser.ConfigParser()
     for name in sorted(sections):
         parser[name] = {}
@@ -172,5 +174,5 @@ def write_resolved_config(path, sections: dict[str, dict]) -> None:
             if isinstance(value, (tuple, list)):
                 value = ",".join(str(v) for v in value)
             parser[name][key] = str(value)
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         parser.write(fh)

@@ -554,7 +554,8 @@ VERSION = 1
 def save_dataset(path, wt: WaveformTensor) -> None:
     """Write a waveform tensor file (magic ``MWTS``): version, dims, the
     channel-name table, per-sample module ids and label indices (with their
-    name table), then the row-major little-endian float32 payload."""
+    name table), then the row-major little-endian float32 payload.  A path
+    is written atomically; an open binary file is written as is."""
     wt.validate()
     if wt.module_ids.size and int(wt.module_ids.max()) > 0xFFFF:
         raise DataError("module ids exceed the u16 range of the file format")
@@ -564,8 +565,7 @@ def save_dataset(path, wt: WaveformTensor) -> None:
             f"{len(label_names)} label names exceed the u8 label codes of the file format"
         )
     label_idx = {name: i for i, name in enumerate(label_names)}
-    fh, owned = ser.open_maybe(path, "wb")
-    try:
+    with ser.open_for_write(path) as fh:
         fh.write(MAGIC)
         ser.write_u32(fh, VERSION)
         for d in wt.data.shape:
@@ -578,9 +578,6 @@ def save_dataset(path, wt: WaveformTensor) -> None:
             ser.write_str(fh, name)
         fh.write(np.array([label_idx[l] for l in wt.labels], dtype="<u1").tobytes())
         fh.write(np.ascontiguousarray(wt.data, dtype=ser.F32).tobytes())
-    finally:
-        if owned:
-            fh.close()
 
 
 def load_dataset(path) -> WaveformTensor:

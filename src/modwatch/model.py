@@ -134,6 +134,15 @@ class ModelParameters:
             for name, lw in self.layers.items()
         })
 
+    def copy_from(self, other: "ModelParameters") -> None:
+        """Overwrite these arrays with ``other``'s values in place, with no
+        new allocation; names and dims must match."""
+        mine, theirs = self.named_tensors(), other.named_tensors()
+        if [(n, t.data.shape) for n, t in mine] != [(n, t.data.shape) for n, t in theirs]:
+            raise ShapeError("copy_from: parameter names or dims differ")
+        for (_, dst), (_, src) in zip(mine, theirs):
+            np.copyto(dst.data, src.data)
+
     def clone(self) -> "ModelParameters":
         layers = {}
         for name, lw in self.layers.items():

@@ -9,13 +9,16 @@ corrupt header raises ``DataError`` instead of wrapping or allocating.
 """
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import DataError
+from .util import atomic_open
 
 F32 = np.dtype("<f4")
 
@@ -114,10 +117,40 @@ def expect_eof(fh, kind: str) -> None:
         raise DataError(f"trailing bytes after {kind} payload")
 
 
+def _is_path(path_or_fh) -> bool:
+    return isinstance(path_or_fh, (str, bytes)) or hasattr(path_or_fh, "__fspath__")
+
+
 def open_maybe(path_or_fh, mode: str):
-    if isinstance(path_or_fh, (str, bytes)) or hasattr(path_or_fh, "__fspath__"):
+    if _is_path(path_or_fh):
         return open(path_or_fh, mode), True
     return path_or_fh, False
+
+
+@contextmanager
+def open_for_write(path_or_fh):
+    """A binary file to write into.  A path is written atomically
+    (``util.atomic_open``): it appears whole once the block ends, and an
+    exception leaves the earlier file as it was.  An open file is used as
+    is and left open."""
+    if _is_path(path_or_fh):
+        with atomic_open(path_or_fh, "wb") as fh:
+            yield fh
+    else:
+        yield path_or_fh
+
+
+class HashingWriter:
+    """Passes every write through to ``fh`` and folds it into a SHA-256,
+    so a file's digest comes from the bytes written, not a second copy."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.sha256 = hashlib.sha256()
+
+    def write(self, payload) -> int:
+        self.sha256.update(payload)
+        return self.fh.write(payload)
 
 
 def to_bytes(writer) -> bytes:

@@ -160,7 +160,7 @@ def train(
 
     t0 = time.monotonic()
     params = M.init_parameters(spec, config.seed)
-    best_params = params.clone()
+    best_params = params.clone()  # overwritten in place at each improving epoch
     adam = AdamState(learning_rate=config.learning_rate)
     log = TrainLog()
     best_val = float("inf")
@@ -200,7 +200,7 @@ def train(
         log.epochs.append(EpochRecord(epoch=epoch, train=train_br, validation=val_br))
         if val_br.total < best_val:
             best_val = val_br.total
-            best_params = params.clone()
+            best_params.copy_from(params)
             log.best_epoch = epoch
         elif epoch - log.best_epoch >= config.patience:
             log.stopped_early = True
@@ -216,13 +216,12 @@ def train(
 def write_run_artifacts(
     out_dir, result: TrainResult, config: TrainConfig, train_set, val_set
 ) -> None:
-    from .checkpoint import checkpoint_bytes
     from .data import dataset_bytes
     from .util import sha256_bytes
 
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "checkpoint.mwck")
-    save_checkpoint(ckpt_path, result.spec, result.params)
+    ckpt_sha256 = save_checkpoint(ckpt_path, result.spec, result.params)
     result.log.save_csv(os.path.join(out_dir, "trainlog.csv"))
     manifest = {
         "mode": result.spec.mode,
@@ -238,7 +237,7 @@ def write_run_artifacts(
         "train_data_sha256": sha256_bytes(dataset_bytes(train_set)),
         "validation_data_sha256": sha256_bytes(dataset_bytes(val_set)),
         "checkpoint": "checkpoint.mwck",
-        "checkpoint_sha256": sha256_bytes(checkpoint_bytes(result.spec, result.params)),
+        "checkpoint_sha256": ckpt_sha256,
         "epochs_run": len(result.log.epochs),
         "best_epoch": result.log.best_epoch,
         "best_validation_total": result.log.best_validation_total(),

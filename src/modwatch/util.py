@@ -51,18 +51,19 @@ def sha256_file(path) -> str:
 
 
 @contextmanager
-def atomic_open(path, newline: str | None = None):
-    """Open a text file that appears at ``path`` only once the block ends.
+def atomic_open(path, mode: str = "w", newline: str | None = None):
+    """Open a file (``mode`` ``"w"`` for text, ``"wb"`` for bytes) that
+    appears at ``path`` only once the block ends.
 
-    The text goes to a temp file in the same directory, which is moved over
-    ``path`` on success and removed on an exception, so ``path`` never holds
-    a half-written file.
+    The content goes to a temp file in the same directory, which is moved
+    over ``path`` on success and removed on an exception, so ``path`` never
+    holds a half-written file.
     """
-    path = os.fspath(path)
+    path = os.fsdecode(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex[:12]}.tmp")
     try:
-        with open(tmp, "x", newline=newline) as fh:
+        with open(tmp, mode.replace("w", "x"), newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -1,13 +1,17 @@
-"""Adam: closed-form first step, convergence on a quadratic, state shape."""
+"""Adam: closed-form first step, convergence on a quadratic, state shape,
+and the blocked in-place update against the unblocked formula bit for bit."""
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from modwatch import model as M
 from modwatch import tensor as T
-from modwatch.errors import NumericError
-from modwatch.optim import AdamState, adam_step
-from modwatch.tensor import Tensor
+from modwatch.errors import NumericError, ShapeError
+from modwatch.optim import CHUNK, AdamState, adam_step
+from modwatch.tensor import DTYPE, Tensor
 
 
 def test_first_step_matches_closed_form():
@@ -71,3 +75,157 @@ def test_two_runs_identical(rng):
         return t.data.copy()
 
     np.testing.assert_array_equal(run(), run())
+
+
+def reference_adam_step(named_params, state: AdamState) -> None:
+    """The unblocked formula the blocked step must reproduce bit for bit:
+    whole-tensor float32 expressions with a fresh temporary for each."""
+    state.step += 1
+    t = state.step
+    b1, b2 = DTYPE(state.beta1), DTYPE(state.beta2)
+    lr = DTYPE(state.learning_rate)
+    eps = DTYPE(state.eps)
+    c1 = DTYPE(1.0 - state.beta1**t)
+    c2 = DTYPE(1.0 - state.beta2**t)
+    for name, p in named_params:
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        if not np.all(np.isfinite(g)):
+            raise NumericError(f"adam: non-finite gradient for {name}")
+        m = state.m.setdefault(name, np.zeros_like(p.data))
+        v = state.v.setdefault(name, np.zeros_like(p.data))
+        m *= b1
+        m += (DTYPE(1) - b1) * g
+        v *= b2
+        v += (DTYPE(1) - b2) * (g * g)
+        m_hat = m / c1
+        v_hat = v / c2
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).view(np.uint32).tobytes()
+
+
+def _run_both(shape, grads, lr: float = 1e-3):
+    """Five steps of both implementations from the same start; returns
+    (blocked, reference) as (p, m, v) triples."""
+    rng = np.random.default_rng(11)
+    start = rng.standard_normal(shape).astype(np.float32)
+    out = []
+    for step in (adam_step, reference_adam_step):
+        p = Tensor(start.copy(), requires_grad=True)
+        state = AdamState(learning_rate=lr)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for g in grads:
+                p.grad = g.copy()
+                step([("p", p)], state)
+        out.append((p.data, state.m["p"], state.v["p"]))
+    return out
+
+
+def _assert_same_bits(shape, grads, lr: float = 1e-3):
+    """Returns the blocked step's (p, m, v) once they match the reference."""
+    blocked, reference = _run_both(shape, grads, lr)
+    for got, want in zip(blocked, reference):
+        assert got.shape == want.shape
+        assert _bits(got) == _bits(want)
+    return blocked
+
+
+@pytest.mark.parametrize(
+    "shape", [(0,), (1,), (CHUNK - 1,), (CHUNK,), (CHUNK + 1,), (3 * CHUNK + 7,), (64, 8192)]
+)
+def test_blocked_step_matches_reference_bitwise(shape):
+    rng = np.random.default_rng(5)
+    grads = [(rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3)).astype(np.float32)
+             for _ in range(5)]
+    _assert_same_bits(shape, grads)
+
+
+def test_blocked_step_matches_reference_on_subnormals_and_signed_zeros():
+    n = 2 * CHUNK + 3
+    rng = np.random.default_rng(6)
+    tiny = np.finfo(np.float32).smallest_subnormal
+    grads = []
+    for _ in range(5):
+        g = rng.standard_normal(n).astype(np.float32)
+        g[::3] = tiny * rng.integers(-1000, 1000, size=g[::3].size).astype(np.float32)
+        g[1::7] = 0.0
+        g[2::7] = -0.0
+        grads.append(g)
+    assert np.any(np.signbit(grads[0]) & (grads[0] == 0))
+    _assert_same_bits((n,), grads)
+
+
+def test_blocked_step_matches_reference_when_the_square_overflows():
+    # g * g overflows to inf in float32 while g itself is finite
+    n = CHUNK + 5
+    g = np.full(n, 3e19, np.float32)
+    g[::2] = -3e19
+    with np.errstate(over="ignore"):
+        assert np.isfinite(g).all() and np.isinf(g * g).all()
+    _, _, v = _assert_same_bits((n,), [g] * 5)
+    assert np.isinf(v).all()
+
+
+def test_non_finite_in_last_block_leaves_the_tensor_untouched(rng):
+    n = 3 * CHUNK + 7
+    p = Tensor(rng.standard_normal(n).astype(np.float32), requires_grad=True)
+    state = AdamState(learning_rate=0.1)
+    p.grad = rng.standard_normal(n).astype(np.float32)
+    adam_step([("p", p)], state)
+    before = [a.copy() for a in (p.data, state.m["p"], state.v["p"])]
+    p.grad = rng.standard_normal(n).astype(np.float32)
+    p.grad[-1] = np.nan
+    with pytest.raises(NumericError):
+        adam_step([("p", p)], state)
+    for got, want in zip((p.data, state.m["p"], state.v["p"]), before):
+        assert _bits(got) == _bits(want)
+
+
+def test_update_lands_in_the_parameter_array(rng):
+    data = rng.standard_normal((4, CHUNK // 2 + 3)).astype(np.float32)
+    p = Tensor(data, requires_grad=True)
+    held = p.data  # the array the model's layers hold
+    start = held.copy()
+    p.grad = np.ones_like(held)
+    adam_step([("p", p)], AdamState(learning_rate=0.1))
+    assert p.data is held
+    # the first step moves every value by lr * g / (|g| + eps) = ~0.1
+    np.testing.assert_allclose(held, start - 0.1, atol=1e-5)
+
+
+def test_second_step_allocates_no_tensor_sized_temporary():
+    params = M.init_parameters(M.desk_spec(), 0)
+    rng = np.random.default_rng(2)
+    named = params.named_tensors()
+    for _, t in named:
+        t.grad = rng.standard_normal(t.data.shape).astype(np.float32)
+    state = AdamState(learning_rate=1e-3)
+    adam_step(named, state)  # creates the moments
+    tracemalloc.start()
+    try:
+        adam_step(named, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"second step peaked at {peak / 2**20:.2f} MiB"
+
+
+def test_non_contiguous_parameter_raises_instead_of_updating_a_copy(rng):
+    p = Tensor(np.zeros(3, np.float32), requires_grad=True)
+    p.data = rng.standard_normal((4, 6)).astype(np.float32)[:, ::2]
+    p.grad = np.ones((4, 3), np.float32)
+    with pytest.raises(ShapeError):
+        adam_step([("p", p)], AdamState(learning_rate=0.1))
+
+
+def test_non_contiguous_gradient_matches_its_contiguous_copy(rng):
+    g = rng.standard_normal((6, 4)).astype(np.float32).T
+    assert not g.flags.c_contiguous
+    p1 = Tensor(np.ones((4, 6), np.float32), requires_grad=True)
+    p2 = Tensor(np.ones((4, 6), np.float32), requires_grad=True)
+    p1.grad, p2.grad = g, np.ascontiguousarray(g)
+    adam_step([("p", p1)], AdamState(learning_rate=0.1))
+    adam_step([("p", p2)], AdamState(learning_rate=0.1))
+    assert _bits(p1.data) == _bits(p2.data)
