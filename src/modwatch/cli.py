@@ -28,7 +28,7 @@ from .errors import (
     ShapeError,
 )
 from .train import TrainConfig, train, train_single_module_suite, write_manifest
-from .util import sha256_file
+from .util import atomic_open, sha256_file
 
 EXIT_CODES: tuple[tuple[type, int], ...] = (
     (ConfigError, 2),
@@ -36,51 +36,6 @@ EXIT_CODES: tuple[tuple[type, int], ...] = (
     (DataError, 4),
     (ShapeError, 5),
 )
-
-GENERATE_DEFAULTS = {
-    "modules": 15,
-    "samples_per_module": 40,
-    "time_steps": 512,
-    "noise_sd": 0.02,
-    "amplitude_spread": 0.25,
-    "frequency_spread": 0.30,
-    "faults": 150,
-    "flatline_fraction": 0.05,
-    "fault_modules": (),
-    "seed": 0,
-}
-TRAIN_DEFAULTS = {
-    "batch_size": 16,
-    "learning_rate": 1e-3,
-    "max_epochs": 100,
-    "patience": 20,
-    "eta": 1.0,
-    "seed": 0,
-}
-SPLIT_DEFAULTS = {
-    "train_fraction": 0.8,
-    "val_fraction": 0.1,
-    "test_fraction": 0.1,
-    "seed": 0,
-}
-EVAL_DEFAULTS = {
-    "fpr_budget": 0.10,
-    "mode": "deterministic",
-    "n_draws": 100,
-    "batch_size": 32,
-    "seed": 0,
-}
-LANDSCAPE_DEFAULTS = {
-    "resolution": 25,
-    "span": 1.0,
-    "gamma_seed": 101,
-    "nu_seed": 202,
-    "depths": (3, 5, 10, 20, 30, 40),
-    "batch_size": 64,
-    "dataset_split": "train",
-}
-UQ_DEFAULTS = {"n_draws": 100, "examples": 10, "seed": 0}
-
 
 def main(argv=None) -> int:
     parser = build_parser()
@@ -125,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=("desk", "full"), default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
+    p.add_argument("--learning-rate", type=C.finite_float, default=None)
+    p.add_argument("--eta", type=C.finite_float, default=None)
     p.add_argument("--patience", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
@@ -139,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory holding vae_module_<id>/checkpoint.mwck")
     p.add_argument("--stats", default=None,
                    help="channel stats CSV (default: alongside the model)")
-    p.add_argument("--fpr-budget", type=float, default=None)
+    p.add_argument("--fpr-budget", type=C.finite_float, default=None)
     p.add_argument("--mode", choices=("deterministic", "sampled"), default=None)
     p.add_argument("--n-draws", type=int, default=None)
     p.set_defaults(func=cmd_eval)
@@ -150,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="checkpoint (file or out dir)")
     p.add_argument("--stats", default=None)
     p.add_argument("--res", type=int, default=None)
-    p.add_argument("--range", dest="span", type=float, default=None)
+    p.add_argument("--range", dest="span", type=C.finite_float, default=None)
     p.add_argument("--depth-sweep", action="store_true",
                    help="retrain at several conv depths and map each surface")
     p.set_defaults(func=cmd_landscape)
@@ -189,8 +144,7 @@ def _file_cfg(args) -> dict:
 def _jobs(args, file_cfg) -> int:
     if args.jobs is not None:
         return max(1, args.jobs)
-    general = C.resolve_section(file_cfg, "general", {"jobs": 1})
-    return max(1, general["jobs"])
+    return max(1, C.resolve_section(file_cfg, "general")["jobs"])
 
 
 def _outdir(args) -> str:
@@ -232,7 +186,7 @@ class _Splits:
     given ``stats`` they are fitted on the train part."""
 
     def __init__(self, wt: D.WaveformTensor, file_cfg: dict, stats=None):
-        self.config = C.resolve_section(file_cfg, "split", SPLIT_DEFAULTS)
+        self.config = C.resolve_section(file_cfg, "split")
         self.names = list(wt.channel_names)
         fractions = tuple(self.config[f"{part}_fraction"] for part in ("train", "val", "test"))
         self._parts = D.split(wt, fractions=fractions, seed=self.config["seed"])
@@ -266,7 +220,7 @@ def _model_spec(file_cfg, wt: D.WaveformTensor, mode: str, defaults=None,
     """Architecture from preset + config; dims and module count follow the
     data unless the config pins them."""
     section = C.resolve_section(file_cfg, "model", defaults or {}, {"preset": preset})
-    preset = section.pop("preset", None) or "desk"
+    preset = section.pop("preset", None) or C.SETTINGS["model"]["preset"]
     if preset == "desk":
         base = M.desk_spec()
     elif preset == "full":
@@ -280,11 +234,10 @@ def _model_spec(file_cfg, wt: D.WaveformTensor, mode: str, defaults=None,
         "module_count": int(wt.module_ids.max()) + 1 if wt.n_samples else 1,
     }
     fields.update(section)
-    fields["mode"] = mode
     return dataclasses.replace(base, **fields).validate()
 
 
-def _train_config(file_cfg, seed, defaults=TRAIN_DEFAULTS, **overrides) -> TrainConfig:
+def _train_config(file_cfg, seed, defaults=None, **overrides) -> TrainConfig:
     resolved = C.resolve_section(file_cfg, "train", defaults, overrides)
     resolved["seed"] = C.resolve_seed(seed, file_cfg, "train", default=resolved["seed"])
     return TrainConfig(**resolved).validate()
@@ -300,7 +253,7 @@ def _write_resolved(out, sections: dict) -> None:
 # matching ``reproduce`` experiment.
 
 
-def _generate_stage(out, file_cfg, seed, defaults=GENERATE_DEFAULTS, overrides=None):
+def _generate_stage(out, file_cfg, seed, defaults=None, overrides=None):
     """Render the ``[generate]`` dataset into ``out``; returns it with the
     resolved section."""
     gen = C.resolve_section(file_cfg, "generate", defaults, overrides)
@@ -551,8 +504,7 @@ def cmd_eval(args) -> int:
     ev = C.resolve_section(
         file_cfg,
         "eval",
-        EVAL_DEFAULTS,
-        {
+        overrides={
             "fpr_budget": args.fpr_budget,
             "mode": args.mode,
             "n_draws": args.n_draws,
@@ -591,10 +543,7 @@ def cmd_landscape(args) -> int:
     file_cfg = _file_cfg(args)
     jobs = _jobs(args, file_cfg)
     ls = C.resolve_section(
-        file_cfg,
-        "landscape",
-        LANDSCAPE_DEFAULTS,
-        {"resolution": args.res, "span": args.span},
+        file_cfg, "landscape", overrides={"resolution": args.res, "span": args.span}
     )
     tc = _train_config(file_cfg, args.seed)
     wt = _load_dataset(args.data)
@@ -650,10 +599,7 @@ def cmd_landscape(args) -> int:
 def cmd_uq(args) -> int:
     file_cfg = _file_cfg(args)
     uc = C.resolve_section(
-        file_cfg,
-        "uq",
-        UQ_DEFAULTS,
-        {"n_draws": args.n_draws, "examples": args.examples},
+        file_cfg, "uq", overrides={"n_draws": args.n_draws, "examples": args.examples}
     )
     uc["seed"] = C.resolve_seed(args.seed, file_cfg, "uq", default=uc["seed"])
     wt = _load_dataset(args.data)
@@ -719,7 +665,7 @@ def cmd_reproduce(args) -> int:
         )
     file_cfg = _file_cfg(args)
     jobs = _jobs(args, file_cfg)
-    seed = C.resolve_seed(args.seed, file_cfg, "general", default=0)
+    seed = C.resolve_seed(args.seed, file_cfg, "general", C.SETTINGS["general"]["seed"])
     out = _outdir(args)
     experiments = (
         ("detection", "depth", "calibration")
@@ -730,27 +676,27 @@ def cmd_reproduce(args) -> int:
         print(f"== {name} ({args.scale}) ==")
         sizes = EXPERIMENT_SIZES[args.scale][name]
 
-        def sized(section, defaults):
-            return {**defaults, **sizes.get(section, {})}
+        def sized(section):
+            return {**C.SETTINGS[section], **sizes.get(section, {})}
 
         exp_dir = os.path.join(out, name)
         wt, gen = _generate_stage(
-            os.path.join(exp_dir, "data"), file_cfg, seed, sized("generate", GENERATE_DEFAULTS)
+            os.path.join(exp_dir, "data"), file_cfg, seed, sized("generate")
         )
         parts = _Splits(wt, file_cfg)
-        tc = _train_config(file_cfg, seed, sized("train", TRAIN_DEFAULTS))
-        spec = _model_spec(file_cfg, wt, "cvae", sized("model", {}))
+        tc = _train_config(file_cfg, seed, sized("train"))
+        spec = _model_spec(file_cfg, wt, "cvae", sizes.get("model"))
         resolved = {"generate": gen, "split": parts.config, "train": dataclasses.asdict(tc)}
         if name == "detection":
-            ev = C.resolve_section(file_cfg, "eval", sized("eval", EVAL_DEFAULTS))
+            ev = C.resolve_section(file_cfg, "eval", sized("eval"))
             resolved["eval"] = {**ev, "mode": "sampled", "seed": seed}
             _reproduce_detection(exp_dir, spec, parts, tc, resolved["eval"], jobs)
         elif name == "depth":
-            ls = C.resolve_section(file_cfg, "landscape", sized("landscape", LANDSCAPE_DEFAULTS))
+            ls = C.resolve_section(file_cfg, "landscape", sized("landscape"))
             _depth_stage(exp_dir, spec, parts, tc, ls, jobs)
             resolved["landscape"] = ls
         else:
-            uc = C.resolve_section(file_cfg, "uq", sized("uq", UQ_DEFAULTS))
+            uc = C.resolve_section(file_cfg, "uq", sized("uq"))
             model = _train_stage(os.path.join(exp_dir, "model"), spec, parts, tc)
             normals = parts.test.select(parts.test.normal_mask())
             uc.update(examples=min(uc["examples"], normals.n_samples), seed=seed)
@@ -760,7 +706,7 @@ def cmd_reproduce(args) -> int:
             )
             resolved["uq"] = uc
         _write_resolved(exp_dir, resolved)
-    _write_repro_manifest(out)
+    _write_repro_manifest(os.path.join(out, "MANIFEST.txt"), out)
     print(f"bundle complete -> {out}")
     return 0
 
@@ -797,18 +743,19 @@ def _reproduce_detection(exp_dir, spec, parts: _Splits, tc, ev, jobs) -> None:
         )
 
 
-def _write_repro_manifest(out) -> None:
-    entries = []
-    for root, _, files in os.walk(out):
-        for name in files:
-            if name == "MANIFEST.txt":
-                continue
-            path = os.path.join(root, name)
-            entries.append((os.path.relpath(path, out), sha256_file(path)))
-    entries.sort()
-    with open(os.path.join(out, "MANIFEST.txt"), "w") as fh:
-        for rel, digest in entries:
-            fh.write(f"{digest}  {rel}\n")
+def _write_repro_manifest(path, root) -> None:
+    """Write to ``path``, atomically, the SHA-256 of every file under
+    ``root`` (``sha256sum`` format), leaving out files named as ``path``."""
+    skip = os.path.basename(path)
+    rels = sorted(
+        os.path.relpath(os.path.join(d, name), root)
+        for d, _, files in os.walk(root)
+        for name in files
+        if name != skip
+    )
+    with atomic_open(path) as fh:
+        for rel in rels:
+            fh.write(f"{sha256_file(os.path.join(root, rel))}  {rel}\n")
 
 
 if __name__ == "__main__":

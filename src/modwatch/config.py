@@ -8,9 +8,13 @@ command writes its fully-resolved configuration next to its outputs.
 from __future__ import annotations
 
 import configparser
+import math
 import os
+from dataclasses import fields
 
 from .errors import ConfigError
+from .model import ModelSpec
+from .train import TrainConfig
 from .util import atomic_open
 
 ENV_SEED = "MODWATCH_SEED"
@@ -31,66 +35,72 @@ def _int_or_ints(raw: str):
     return parts[0] if len(parts) == 1 else parts
 
 
-# section -> key -> converter
-SCHEMA: dict[str, dict[str, object]] = {
-    "general": {"seed": int, "jobs": int},
+def finite_float(raw: str) -> float:
+    """``float(raw)``, refusing ``nan`` and infinities with ``ValueError``."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
+# section -> key -> built-in default.  A key's parser follows its default's
+# type (see ``parse_value``).  [train] is TrainConfig's fields; [model] is
+# ModelSpec's but ``mode``, whose defaults come from the preset and the data
+# instead, so they only give the keys their types.
+SETTINGS: dict[str, dict[str, object]] = {
+    "general": {"seed": 0, "jobs": 1},
     "generate": {
-        "modules": int,
-        "samples_per_module": _int_or_ints,
-        "time_steps": int,
-        "noise_sd": float,
-        "amplitude_spread": float,
-        "frequency_spread": float,
-        "faults": int,
-        "flatline_fraction": float,
-        "fault_modules": _ints,
-        "seed": int,
+        "modules": 15,
+        "samples_per_module": 40,
+        "time_steps": 512,
+        "noise_sd": 0.02,
+        "amplitude_spread": 0.25,
+        "frequency_spread": 0.30,
+        "faults": 150,
+        "flatline_fraction": 0.05,
+        "fault_modules": (),
+        "seed": 0,
     },
     "model": {
-        "preset": str,
-        "mode": str,
-        "time_steps": int,
-        "channels": int,
-        "encoder_conv_blocks": int,
-        "decoder_conv_blocks": int,
-        "kernels_per_block": int,
-        "kernel_width": int,
-        "dense_units": int,
-        "latent_dim": int,
-        "module_count": int,
+        "preset": "desk",
+        **{f.name: f.default for f in fields(ModelSpec) if f.name != "mode"},
     },
-    "train": {
-        "batch_size": int,
-        "learning_rate": float,
-        "max_epochs": int,
-        "patience": int,
-        "eta": float,
-        "seed": int,
-    },
-    "split": {
-        "train_fraction": float,
-        "val_fraction": float,
-        "test_fraction": float,
-        "seed": int,
-    },
+    "train": {f.name: f.default for f in fields(TrainConfig)},
+    "split": {"train_fraction": 0.8, "val_fraction": 0.1, "test_fraction": 0.1, "seed": 0},
     "eval": {
-        "fpr_budget": float,
-        "mode": str,
-        "n_draws": int,
-        "batch_size": int,
-        "seed": int,
+        "fpr_budget": 0.10,
+        "mode": "deterministic",
+        "n_draws": 100,
+        "batch_size": 32,
+        "seed": 0,
     },
     "landscape": {
-        "resolution": int,
-        "span": float,
-        "gamma_seed": int,
-        "nu_seed": int,
-        "depths": _ints,
-        "batch_size": int,
-        "dataset_split": str,
+        "resolution": 25,
+        "span": 1.0,
+        "gamma_seed": 101,
+        "nu_seed": 202,
+        "depths": (3, 5, 10, 20, 30, 40),
+        "batch_size": 64,
+        "dataset_split": "train",
     },
-    "uq": {"n_draws": int, "examples": int, "seed": int},
+    "uq": {"n_draws": 100, "examples": 10, "seed": 0},
 }
+
+_PARSERS = {int: int, float: finite_float, str: str, tuple: _ints}
+
+
+def parse_value(section: str, key: str, raw: str):
+    """A config-file string for ``section.key``, read as its default's type."""
+    if key == "samples_per_module":  # one count for every module, or one each
+        return _int_or_ints(raw)
+    return _PARSERS[type(SETTINGS[section][key])](raw)
+
+
+def format_value(value) -> str:
+    """``value`` as ``resolved.ini`` writes it and ``parse_value`` reads it."""
+    if isinstance(value, (tuple, list)):
+        return ",".join(str(v) for v in value)
+    return str(value)
 
 
 def load_config_file(path) -> dict[str, dict[str, str]]:
@@ -106,11 +116,11 @@ def load_config_file(path) -> dict[str, dict[str, str]]:
 
     out: dict[str, dict[str, str]] = {}
     for section in parser.sections():
-        if section not in SCHEMA:
+        if section not in SETTINGS:
             raise ConfigError(f"unknown config section [{section}]")
         out[section] = {}
         for key, value in parser.items(section):
-            if key not in SCHEMA[section]:
+            if key not in SETTINGS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             out[section][key] = value
     return out
@@ -119,17 +129,17 @@ def load_config_file(path) -> dict[str, dict[str, str]]:
 def resolve_section(
     file_cfg: dict[str, dict[str, str]],
     section: str,
-    defaults: dict,
+    defaults: dict | None = None,
     overrides: dict | None = None,
 ) -> dict:
-    """Typed merge of defaults <- config file <- CLI overrides."""
-    if section not in SCHEMA:
+    """Typed merge of defaults (the built-in ones unless given) <- config
+    file <- CLI overrides."""
+    if section not in SETTINGS:
         raise ConfigError(f"unknown config section [{section}]")
-    resolved = dict(defaults)
+    resolved = dict(SETTINGS[section] if defaults is None else defaults)
     for key, raw in file_cfg.get(section, {}).items():
-        conv = SCHEMA[section][key]
         try:
-            resolved[key] = conv(raw)
+            resolved[key] = parse_value(section, key, raw)
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
@@ -137,14 +147,14 @@ def resolve_section(
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in SCHEMA[section]:
+        if key not in SETTINGS[section]:
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
         resolved[key] = value
     return resolved
 
 
-def resolve_seed(flag_seed, file_cfg: dict[str, dict[str, str]],
-                 section: str = "general", default: int = 0) -> int:
+def resolve_seed(flag_seed, file_cfg: dict[str, dict[str, str]], section: str,
+                 default: int) -> int:
     """Seed precedence: flag, config, MODWATCH_SEED env, default."""
     if flag_seed is not None:
         return int(flag_seed)
@@ -170,9 +180,6 @@ def write_resolved_config(path, sections: dict[str, dict]) -> None:
     for name in sorted(sections):
         parser[name] = {}
         for key in sorted(sections[name]):
-            value = sections[name][key]
-            if isinstance(value, (tuple, list)):
-                value = ",".join(str(v) for v in value)
-            parser[name][key] = str(value)
+            parser[name][key] = format_value(sections[name][key])
     with atomic_open(path) as fh:
         parser.write(fh)

@@ -442,13 +442,20 @@ class ChannelStats:
 
     @classmethod
     def load_csv(cls, path) -> "ChannelStats":
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+        """Read ``save_csv``'s file; a missing column or a cell that is not
+        a number raises ``DataError`` naming the file."""
+        try:
+            with open(path, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            mean = np.array([float(r["mean"]) for r in rows])
+            sd = np.array([float(r["sd"]) for r in rows])
+            constant = np.array([bool(int(r["constant"])) for r in rows])
+        except KeyError as exc:
+            raise DataError(f"channel stats file {path} has no {exc.args[0]!r} column") from exc
+        except (OSError, TypeError, ValueError, csv.Error) as exc:
+            raise DataError(f"malformed channel stats file {path}: {exc}") from exc
         if not rows:
             raise DataError(f"empty channel stats file {path}")
-        mean = np.array([float(r["mean"]) for r in rows])
-        sd = np.array([float(r["sd"]) for r in rows])
-        constant = np.array([bool(int(r["constant"])) for r in rows])
         return cls(mean=mean, sd=sd, constant=constant)
 
 
@@ -577,7 +584,7 @@ def save_dataset(path, wt: WaveformTensor) -> None:
         for name in label_names:
             ser.write_str(fh, name)
         fh.write(np.array([label_idx[l] for l in wt.labels], dtype="<u1").tobytes())
-        fh.write(np.ascontiguousarray(wt.data, dtype=ser.F32).tobytes())
+        fh.write(np.ascontiguousarray(wt.data, dtype=ser.F32))  # its buffer, not a copy
 
 
 def load_dataset(path) -> WaveformTensor:

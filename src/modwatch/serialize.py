@@ -153,6 +153,19 @@ class HashingWriter:
         return self.fh.write(payload)
 
 
+class _Discard:
+    def write(self, payload) -> int:
+        return memoryview(payload).nbytes
+
+
+def sha256_hex(writer) -> str:
+    """The SHA-256 hex digest of what ``writer`` writes into the file it is
+    handed; the bytes are hashed as they stream and kept nowhere."""
+    fh = HashingWriter(_Discard())
+    writer(fh)
+    return fh.sha256.hexdigest()
+
+
 def to_bytes(writer) -> bytes:
     buf = io.BytesIO()
     writer(buf)

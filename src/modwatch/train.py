@@ -14,8 +14,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import model as M
+from . import serialize as ser
 from .checkpoint import save_checkpoint
-from .data import NORMAL_LABEL, WaveformTensor
+from .data import NORMAL_LABEL, WaveformTensor, save_dataset
 from .errors import ConfigError, DataError, NumericError, ShapeError, TrainingDiverged
 from .model import LossBreakdown, ModelParameters, ModelSpec
 from .optim import AdamState, adam_step
@@ -216,9 +217,6 @@ def train(
 def write_run_artifacts(
     out_dir, result: TrainResult, config: TrainConfig, train_set, val_set
 ) -> None:
-    from .data import dataset_bytes
-    from .util import sha256_bytes
-
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "checkpoint.mwck")
     ckpt_sha256 = save_checkpoint(ckpt_path, result.spec, result.params)
@@ -234,8 +232,8 @@ def write_run_artifacts(
         "seed": config.seed,
         "train_samples": train_set.n_samples,
         "validation_samples": val_set.n_samples,
-        "train_data_sha256": sha256_bytes(dataset_bytes(train_set)),
-        "validation_data_sha256": sha256_bytes(dataset_bytes(val_set)),
+        "train_data_sha256": ser.sha256_hex(lambda fh: save_dataset(fh, train_set)),
+        "validation_data_sha256": ser.sha256_hex(lambda fh: save_dataset(fh, val_set)),
         "checkpoint": "checkpoint.mwck",
         "checkpoint_sha256": ckpt_sha256,
         "epochs_run": len(result.log.epochs),

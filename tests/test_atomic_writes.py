@@ -1,15 +1,18 @@
-"""Binary and config writers: a path is replaced whole or not at all, an
-open file is written as is, and the checkpoint's digest is the file's."""
+"""Binary, config and bundle-manifest writers: a path is replaced whole or
+not at all, an open file is written as is, and the checkpoint's digest is
+the file's."""
 from __future__ import annotations
 
 import configparser
 import hashlib
 import io
+import os
 
 import numpy as np
 import pytest
 
 from modwatch import checkpoint as CK
+from modwatch import cli
 from modwatch import config as C
 from modwatch import data as D
 from modwatch import model as M
@@ -62,6 +65,12 @@ def _writers():
         "dataset": (
             lambda path, seed: D.save_dataset(path, _pulses(seed)),
             (ser, "write_str", 2),
+        ),
+        "bundle manifest": (
+            # digests of a directory outside the test's own, one per seed
+            lambda path, seed: cli._write_repro_manifest(
+                path, os.path.dirname((C.__file__, __file__)[seed % 2])),
+            (cli, "sha256_file", 2),
         ),
         "resolved config": (
             lambda path, seed: C.write_resolved_config(path, {"general": {"seed": seed}}),

@@ -270,6 +270,58 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+def test_model_mode_is_not_a_config_key(workspace, tmp_path, capsys):
+    # the model kind is --mode's alone; a [model] mode key never took effect
+    cfg = tmp_path / "mode.ini"
+    cfg.write_text("[model]\nmode = vae\n")
+    assert run("train", "--data", str(workspace / "data" / "dataset.mwts"),
+               "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert "unknown key 'mode' in section [model]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("train", "split", "train_fraction", "nan"),
+    ("train", "train", "learning_rate", "inf"),
+    ("landscape", "landscape", "span", "nan"),
+    ("landscape", "landscape", "span", "-inf"),
+])
+def test_exit_code_non_finite_config_float(workspace, tmp_path, capsys,
+                                           command, section, key, value):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    argv = [command, "--data", str(workspace / "data" / "dataset.mwts"),
+            "--config", str(cfg), "--out", str(tmp_path / "o")]
+    if command == "train":
+        argv += ["--epochs", "1"]
+    else:
+        argv += ["--model", str(workspace / "cvae"), "--res", "1"]
+    assert run(*argv) == 2
+    assert f"bad value for {section}.{key}: '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--learning-rate", "--eta"])
+def test_non_finite_float_flag_exits_2(workspace, tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        run("train", "--data", str(workspace / "data" / "dataset.mwts"),
+            "--out", str(tmp_path / "o"), flag, "nan")
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace(",sd,", ",spread,"), "has no 'sd' column"),
+    (lambda text: text.replace("\n", "\nc_bad,abc,1.0,0\n", 1), "malformed"),
+    (lambda text: text.rstrip("\n") + "x\n", "malformed"),
+], ids=["no sd column", "mean not a number", "constant not an int"])
+def test_exit_code_malformed_stats_csv(workspace, tmp_path, capsys, edit, message):
+    stats = tmp_path / "stats.csv"
+    stats.write_text(edit((workspace / "cvae" / "stats.csv").read_text()))
+    assert run("eval", "--data", str(workspace / "data" / "dataset.mwts"),
+               "--multi", str(workspace / "cvae"), "--stats", str(stats),
+               "--out", str(tmp_path / "o")) == 4
+    err = capsys.readouterr().err
+    assert message in err and str(stats) in err
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     # eval without any model to score with
     assert run("eval", "--data", "whatever.mwts", "--out", str(tmp_path / "o")) == 2

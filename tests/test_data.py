@@ -1,8 +1,10 @@
 """Generator, splits, standardisation, and waveform-file round trips."""
 from __future__ import annotations
 
+import hashlib
 import io
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -253,6 +255,20 @@ class TestWaveformFiles:
         np.testing.assert_array_equal(loaded.module_ids, small_set.module_ids)
         np.testing.assert_array_equal(loaded.labels, small_set.labels)
         assert D.dataset_bytes(loaded) == blob
+
+    def test_streamed_digest_keeps_no_copy(self):
+        # the manifest's split digests: the file's SHA-256, with neither the
+        # whole image nor a copy of the float payload held in memory
+        wt = D.generate(D.GeneratorConfig(module_count=2, samples_per_module=60,
+                                          fault_count=0, seed=3).validate())
+        tracemalloc.start()
+        try:
+            digest = ser.sha256_hex(lambda fh: D.save_dataset(fh, wt))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == hashlib.sha256(D.dataset_bytes(wt)).hexdigest()
+        assert peak < wt.data.nbytes / 2
 
     def test_file_round_trip(self, small_set, tmp_path):
         path = tmp_path / "set.mwts"
