@@ -179,7 +179,7 @@ def evaluate_grid(
         span=span,
         eta=eta,
         n_samples=data.n_samples,
-        dataset_checksum=sha256_bytes(data.data.tobytes()),
+        dataset_checksum=sha256_bytes(np.ascontiguousarray(data.data)),
         gamma_seed=gamma.seed,
         nu_seed=nu.seed,
     )

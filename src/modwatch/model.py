@@ -95,7 +95,10 @@ def desk_spec(mode: str = "cvae") -> ModelSpec:
 
 def full_spec(mode: str = "cvae") -> ModelSpec:
     """Production-sized preset: 4500-step pulses, 128 kernels, 512-wide
-    dense and latent layers.  Training at this size takes hours."""
+    dense and latent layers.  A sampled training step at batch 16 takes
+    about 7.5 s on 2 vCPUs: about 42 min per epoch of 5400 pulses, up to
+    9 days for 300 epochs.  Its 591 M parameters need at least 11 GiB of
+    parameter and optimizer state."""
     return ModelSpec(
         mode=mode,
         time_steps=4500,

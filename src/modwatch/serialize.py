@@ -87,7 +87,7 @@ def write_f32_array(fh, arr: np.ndarray) -> None:
     write_u32(fh, arr.ndim)
     for d in arr.shape:
         write_u64(fh, d)
-    fh.write(arr.tobytes())
+    fh.write(arr)  # its buffer, not a copy
 
 
 def read_f32(fh, dims: tuple[int, ...], what: str) -> np.ndarray:

@@ -1,8 +1,12 @@
 """Small shared helpers: seeded RNG construction, finiteness checks, the
-one worker-thread map, and the one CSV writer every artifact goes through."""
+one worker-thread map with its BLAS thread budget, and the one CSV writer
+every artifact goes through."""
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
+import glob
 import hashlib
 import os
 import uuid
@@ -23,22 +27,64 @@ def seeded_rng(*entropy: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(e) for e in entropy]))
 
 
+@functools.cache
+def _openblas():
+    """``(get, set)`` for the thread count of numpy's bundled OpenBLAS, or
+    ``None`` when that library or its symbols are missing."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+_NO_BLAS = (lambda: None, lambda n: None)
+
+
 def parallel_map(fn, items, jobs: int) -> list:
-    """``[fn(item) for item in items]``, spread over ``jobs`` worker threads
-    when ``jobs > 1``; the results keep the order of ``items``."""
-    if jobs <= 1:
+    """``[fn(item) for item in items]``, spread over ``min(jobs, len(items))``
+    worker threads; the results keep the order of ``items``.
+
+    With one worker the map runs inline.  A pool caps BLAS at
+    cores // workers threads (at least one) while it runs, so workers times
+    BLAS threads stay within the cores, and restores the earlier count
+    afterwards, also when a worker raises.  The count is process-wide, so
+    pools must not nest or overlap; none in modwatch do.
+    """
+    items = list(items)
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    get, set_ = _openblas() or _NO_BLAS
+    before = get()
+    set_(max(1, len(os.sched_getaffinity(0)) // workers))
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    finally:
+        set_(before)
 
 
 def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    """``arr`` if it holds no NaN or infinity, else a ``NumericError``.
+
+    NaN propagates through ``min`` and ``max``, so the two extremes settle
+    it without a mask of one byte per value."""
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise NumericError(f"non-finite values in {what}")
     return arr
 
 
-def sha256_bytes(payload: bytes) -> str:
+def sha256_bytes(payload) -> str:
+    """SHA-256 hex digest of ``payload``: bytes, or any C-contiguous buffer
+    such as an array, hashed in place."""
     return hashlib.sha256(payload).hexdigest()
 
 

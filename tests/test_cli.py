@@ -170,6 +170,50 @@ def test_eval_sampled_mode(workspace, tmp_path):
     assert (out / "scores.csv").exists()
 
 
+@pytest.fixture(scope="module")
+def desk_workspace(tmp_path_factory):
+    """Desk-size pulses (512 steps x 14 channels), a one-epoch conditional
+    model and per-module models, and a config that scores in batches of 4,
+    so every scoring call spreads over several batches."""
+    root = tmp_path_factory.mktemp("desk")
+    config = root / "desk.ini"
+    config.write_text("[split]\ntrain_fraction = 0.5\nval_fraction = 0.2\n"
+                      "test_fraction = 0.3\n\n[eval]\nbatch_size = 4\n")
+    common = ("--config", str(config), "--seed", "3")
+    assert run("generate", "--out", str(root / "data"), "--modules", "2",
+               "--samples-per-module", "24", "--faults", "12", *common) == 0
+    data = str(root / "data" / "dataset.mwts")
+    assert run("train", "--data", data, "--out", str(root / "cvae"), "--mode", "cvae",
+               "--epochs", "1", "--batch-size", "4", *common) == 0
+    assert run("train", "--data", data, "--out", str(root / "singles"), "--mode", "vae",
+               "--module", "all", "--epochs", "1", "--batch-size", "4", *common) == 0
+    return root, common
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "sampled"])
+def test_eval_jobs_never_change_a_byte_at_desk_size(desk_workspace, tmp_path, mode):
+    # desk layers are large enough for OpenBLAS to thread, so jobs 1 (threaded
+    # BLAS) and jobs 2 (one BLAS thread per worker) take different GEMM paths
+    root, common = desk_workspace
+    outs = {}
+    for jobs in ("1", "2"):
+        outs[jobs] = tmp_path / f"jobs{jobs}"
+        assert run("eval", "--data", str(root / "data" / "dataset.mwts"),
+                   "--multi", str(root / "cvae"), "--single-dir", str(root / "singles"),
+                   "--out", str(outs[jobs]), "--mode", mode, "--n-draws", "3",
+                   "--jobs", jobs, *common) == 0
+    names = sorted(p.name for p in outs["1"].iterdir())
+    assert names == sorted(p.name for p in outs["2"].iterdir())
+    assert "scores_module_1.csv" in names and "report.csv" in names
+    for name in names:
+        if name != "resolved.ini":
+            assert sha(outs["1"] / name) == sha(outs["2"] / name), name
+    for jobs, out in outs.items():
+        resolved = configparser.ConfigParser()
+        resolved.read(out / "resolved.ini")
+        assert dict(resolved["general"]) == {"jobs": jobs}
+
+
 def test_landscape_grid_csv_layout(workspace, tmp_path):
     data = workspace / "data" / "dataset.mwts"
     out = tmp_path / "land"

@@ -1,5 +1,7 @@
 """Loss-surface geometry: direction normalization, grid determinism,
 convexity diagnostics."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,21 @@ class TestGrid:
         threaded = evaluate_grid(params, spec, g, n, data, resolution=5, jobs=8)
         assert np.array_equal(serial.losses, threaded.losses)
         assert serial.center_loss == threaded.center_loss
+
+    def test_desk_model_same_bits_for_any_worker_count(self):
+        # desk layers are large enough for OpenBLAS to thread, so this
+        # compares threaded BLAS (jobs 1) with one BLAS thread per worker
+        spec = M.desk_spec()
+        params = M.init_parameters(spec, 5)
+        data = toy_set(n=6, time_steps=spec.time_steps, channels=spec.channels,
+                       modules=spec.module_count, seed=5)
+        g = random_direction(params, 11, tag="gamma")
+        n = random_direction(params, 22, tag="nu")
+        serial = evaluate_grid(params, spec, g, n, data, resolution=2, jobs=1)
+        threaded = evaluate_grid(params, spec, g, n, data, resolution=2, jobs=2)
+        assert np.array_equal(serial.losses, threaded.losses)
+        assert serial.center_loss == threaded.center_loss
+        assert serial.dataset_checksum == hashlib.sha256(data.data.tobytes()).hexdigest()
 
     def test_overflow_marked_not_raised(self):
         spec, params, data, g, n = self._setup(seed=4)
