@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("landscape", help="loss-surface grids and convexity report")
     _common_flags(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--model", default=None, help="checkpoint (file or out dir)")
+    p.add_argument("--model", required=True, help="checkpoint (file or out dir)")
     p.add_argument("--stats", default=None)
     p.add_argument("--res", type=int, default=None)
     p.add_argument("--range", dest="span", type=C.finite_float, default=None)
@@ -345,11 +345,11 @@ def _detection_stage(out, parts: _Splits, ev: dict, multi=None, singles=None,
             }
         )
         E.write_scores_csv(os.path.join(out, "scores.csv"), multi_scores, names)
-        box_rows, density_rows = E.summarize(multi_scores, names)
-        E.write_boxstats_csv(os.path.join(out, "boxstats.csv"), box_rows)
-        E.write_density_csv(os.path.join(out, "density.csv"), density_rows)
-        rows = E.auc_table(multi_scores, names)
-        E.write_auc_table_csv(os.path.join(out, "auc_table.csv"), rows)
+        box, density = E.summarize(multi_scores, names)
+        E.write_boxstats_csv(os.path.join(out, "boxstats.csv"), box)
+        E.write_density_csv(os.path.join(out, "density.csv"), density)
+        E.write_auc_table_csv(os.path.join(out, "auc_table.csv"),
+                              E.auc_table(multi_scores, names))
         for fault in np.unique(labels[~normal_mask]).tolist():
             curve = E.roc_auc(agg[normal_mask], agg[labels == fault])
             safe = fault.replace("/", "-")
@@ -365,11 +365,11 @@ def _detection_stage(out, parts: _Splits, ev: dict, multi=None, singles=None,
             for module, (spec, params) in singles.items()
         }
         if multi_scores is not None:
-            cells = E.compare_methods(multi_scores, single_scores)
-            E.write_comparison_csv(os.path.join(out, "report.csv"), cells)
-            present = [c for c in cells if c.delta is not None]
-            if present:
-                mean_delta = float(np.mean([c.delta for c in present]))
+            report = E.compare_methods(multi_scores, single_scores)
+            E.write_comparison_csv(os.path.join(out, "report.csv"), report)
+            deltas = [d for d in report["delta"] if d is not None]
+            if deltas:
+                mean_delta = float(np.mean(deltas))
                 entries["mean_auc_delta"] = repr(mean_delta)
                 print(f"multi - single mean AUC delta {mean_delta:+.4f}")
     return entries, single_scores
@@ -555,9 +555,6 @@ def cmd_landscape(args) -> int:
     tc = _train_config(file_cfg, args.seed)
     wt = _load_dataset(args.data)
     out = _outdir(args)
-
-    if args.model is None:
-        raise ConfigError("give --model (checkpoint file or training out dir)")
     spec, params = load_checkpoint(_find_checkpoint(args.model))
     parts = _Splits(wt, file_cfg, _find_stats(args.stats, args.model))
 

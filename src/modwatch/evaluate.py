@@ -4,10 +4,14 @@ A sample's anomaly score is its reconstruction MSE under a trained model,
 kept per channel (different fault types light up different waveforms) with
 the aggregate being the mean across channels.  Flagging convention: a
 sample is flagged anomalous when score >= threshold.
+
+Every summary of a ScoreTable (``summarize``, ``auc_table``,
+``compare_methods``) is a column table: a dict from CSV header name to
+column, in header order, which its ``write_*_csv`` function writes as is.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -210,28 +214,6 @@ def flagged(scores, threshold: float) -> np.ndarray:
     return np.asarray(scores, dtype=np.float64) >= threshold
 
 
-@dataclass
-class BoxStats:
-    count: int
-    minimum: float
-    q1: float
-    median: float
-    q3: float
-    maximum: float
-    mean: float
-
-
-def _box_rows(rows: np.ndarray) -> list[BoxStats]:
-    """Box statistics of each row of a C-contiguous (K, n) array; every
-    reduction runs along the contiguous axis, so each row's figures equal
-    those of the row taken alone."""
-    q1, med, q3 = np.percentile(rows, [25.0, 50.0, 75.0], axis=1)
-    return [
-        BoxStats(rows.shape[1], *map(float, stat))
-        for stat in zip(rows.min(axis=1), q1, med, q3, rows.max(axis=1), rows.mean(axis=1))
-    ]
-
-
 def density_counts(values) -> np.ndarray:
     """Histogram over the fixed log10 grid; values are clipped into range."""
     v = np.asarray(values, dtype=np.float64).ravel()
@@ -240,127 +222,93 @@ def density_counts(values) -> np.ndarray:
     return counts
 
 
-def summarize(
-    scores: ScoreTable, channel_names: list[str]
-) -> tuple[list[dict], list[dict]]:
+def _named_values(scores: ScoreTable, channel_names: list[str]):
+    """``(names, values)``: 'aggregate' then the channel names, and the
+    (N, len(names)) matrix of the matching score columns."""
+    names = ["aggregate", *channel_names]
+    values = np.column_stack([scores.aggregate, scores.channel_mse])[:, : len(names)]
+    return names[: values.shape[1]], values
+
+
+def _extend(table: dict, *blocks) -> None:
+    """Append rows to a column table, given as one block per column."""
+    for column, block in zip(table.values(), blocks, strict=True):
+        column.extend(block)
+
+
+def summarize(scores: ScoreTable, channel_names: list[str]) -> tuple[dict, dict]:
     """Box statistics per (module, label, channel) and pooled log-bin
-    densities per (label, channel); 'aggregate' rows cover the per-sample
-    mean score."""
+    densities per (label, channel), as column tables; 'aggregate' rows
+    cover the per-sample mean score."""
     if not scores:
         raise DataError("no scores to summarize")
     modules, labels = scores.module_id, scores.label
-    names = ["aggregate", *channel_names]
-    values = np.column_stack([scores.aggregate, scores.channel_mse])[:, : len(names)]
+    names, values = _named_values(scores, channel_names)
+    k = len(names)
 
-    box_rows = []
-    for module, label in sorted(set(zip(modules.tolist(), labels.tolist()))):
-        group = (modules == module) & (labels == label)
-        per_channel = np.ascontiguousarray(values[group].T)
-        for name, st in zip(names, _box_rows(per_channel)):
-            box_rows.append(
-                {
-                    "module": module,
-                    "label": label,
-                    "channel": name,
-                    "count": st.count,
-                    "min": st.minimum,
-                    "q1": st.q1,
-                    "median": st.median,
-                    "q3": st.q3,
-                    "max": st.maximum,
-                    "mean": st.mean,
-                }
-            )
+    groups = sorted(set(zip(modules.tolist(), labels.tolist())))
+    stats = []  # per group, (7, k): count, min, q1, median, q3, max, mean
+    for module, label in groups:
+        # every reduction runs along the contiguous axis, so each channel's
+        # figures equal those of the channel taken alone
+        per_channel = np.ascontiguousarray(values[(modules == module) & (labels == label)].T)
+        stats.append([
+            np.full(k, per_channel.shape[1]), per_channel.min(axis=1),
+            *np.percentile(per_channel, [25.0, 50.0, 75.0], axis=1),
+            per_channel.max(axis=1), per_channel.mean(axis=1),
+        ])
+    count, *figures = np.array(stats).transpose(1, 0, 2).reshape(7, -1)
+    box = {
+        "module": np.repeat([m for m, _ in groups], k),
+        "label": np.repeat([lbl for _, lbl in groups], k),
+        "channel": np.tile(names, len(groups)),
+        "count": count.astype(np.int64),
+        **dict(zip(["min", "q1", "median", "q3", "max", "mean"], figures)),
+    }
 
-    density_rows = []
-    for label in np.unique(labels).tolist():
-        group = values[labels == label]
-        for c, name in enumerate(names):
-            counts = density_counts(group[:, c])
-            total = counts.sum()
-            for b in range(counts.size):
-                density_rows.append(
-                    {
-                        "label": label,
-                        "channel": name,
-                        "bin_low": DENSITY_EDGES[b],
-                        "bin_high": DENSITY_EDGES[b + 1],
-                        "count": int(counts[b]),
-                        "fraction": counts[b] / total if total else 0.0,
-                    }
-                )
-    return box_rows, density_rows
+    pooled = np.unique(labels)
+    counts = np.array([density_counts(values[labels == lbl, c]) for lbl in pooled for c in range(k)])
+    bins = counts.shape[1]
+    density = {
+        "label": np.repeat(pooled, k * bins),
+        "channel": np.tile(np.repeat(names, bins), pooled.size),
+        "bin_low": np.tile(DENSITY_EDGES[:-1], counts.shape[0]),
+        "bin_high": np.tile(DENSITY_EDGES[1:], counts.shape[0]),
+        "count": counts.ravel(),
+        # an empty histogram has all-zero counts, so its fractions stay 0
+        "fraction": (counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)).ravel(),
+    }
+    return box, density
 
 
 def auc_table(
     scores: ScoreTable, channel_names: list[str], normal_label: str = "normal"
-) -> list[dict]:
+) -> dict:
     """Per fault class: aggregate AUC pooled and per module, plus
-    per-channel AUCs ranked by detection strength."""
+    per-channel AUCs ranked by detection strength, as a column table."""
     modules, labels = scores.module_id, scores.label
     normal = labels == normal_label
     if not normal.any():
         raise DataError("no normal samples to compare against")
-    names = ["aggregate", *channel_names]
-    values = np.column_stack([scores.aggregate, scores.channel_mse])[:, : len(names)]
-    rows = []
+    names, values = _named_values(scores, channel_names)
+    k, n_normal = len(names), int(normal.sum())
+    table = {key: [] for key in
+             ("fault", "module", "channel", "auc", "n_normal", "n_abnormal", "channel_rank")}
     for fault in np.unique(labels[~normal]).tolist():
         abnormal = labels == fault
         aucs = _rank_auc(values[normal], values[abnormal])
-        channel_rows = [
-            {
-                "fault": fault,
-                "module": "all",
-                "channel": name,
-                "auc": float(auc),
-                "n_normal": int(normal.sum()),
-                "n_abnormal": int(abnormal.sum()),
-            }
-            for name, auc in zip(names, aucs)
-        ]
-        ranked = sorted(
-            (r for r in channel_rows if r["channel"] != "aggregate"),
-            key=lambda r: -r["auc"],
-        )
-        rank_of = {r["channel"]: i + 1 for i, r in enumerate(ranked)}
-        for r in channel_rows:
-            r["channel_rank"] = rank_of.get(r["channel"], "")
-            rows.append(r)
+        # a stable sort keeps channel order among equal AUCs
+        rank = np.empty(k - 1, dtype=np.int64)
+        rank[np.argsort(-aucs[1:], kind="stable")] = np.arange(1, k)
+        _extend(table, [fault] * k, ["all"] * k, names, aucs.tolist(), [n_normal] * k,
+                [int(abnormal.sum())] * k, ["", *rank.tolist()])
         for module in np.unique(modules[abnormal]).tolist():
-            mod_norm = normal & (modules == module)
-            mod_abn = abnormal & (modules == module)
-            if not mod_norm.any():
-                continue
-            rows.append(
-                {
-                    "fault": fault,
-                    "module": module,
-                    "channel": "aggregate",
-                    "auc": float(_rank_auc(values[mod_norm, :1], values[mod_abn, :1])[0]),
-                    "n_normal": int(mod_norm.sum()),
-                    "n_abnormal": int(mod_abn.sum()),
-                    "channel_rank": "",
-                }
-            )
-    return rows
-
-
-@dataclass
-class ComparisonCell:
-    fault: str
-    module: int
-    n_normal: int
-    n_abnormal: int
-    auc_multi: float | None
-    sd_multi: float | None
-    auc_single: float | None
-    sd_single: float | None
-
-    @property
-    def delta(self) -> float | None:
-        if self.auc_multi is None or self.auc_single is None:
-            return None
-        return self.auc_multi - self.auc_single
+            neg, pos = normal & (modules == module), abnormal & (modules == module)
+            if neg.any():
+                auc = float(_rank_auc(values[neg, :1], values[pos, :1])[0])
+                _extend(table, [fault], [module], ["aggregate"], [auc], [int(neg.sum())],
+                        [int(pos.sum())], [""])
+    return table
 
 
 def _method_auc(scores: ScoreTable, neg, pos) -> tuple[float, float | None]:
@@ -376,10 +324,11 @@ def compare_methods(
     multi_scores: ScoreTable,
     single_scores: dict[int, ScoreTable],
     normal_label: str = "normal",
-) -> list[ComparisonCell]:
+) -> dict:
     """AUC of the multi-module model vs the per-module models on the same
-    test set, one cell per (fault class, module); cells without fault or
-    normal samples are marked absent (None) rather than zero."""
+    test set, one row per (fault class, module), as a column table; cells
+    without fault or normal samples are marked absent (None) rather than
+    zero, and so is their ``delta``, auc_multi - auc_single."""
     modules, labels = multi_scores.module_id, multi_scores.label
     present = np.unique(modules).tolist()
     for m in present:
@@ -389,26 +338,24 @@ def compare_methods(
         if not np.array_equal(np.sort(ids), np.sort(single_scores[m].sample_id)):
             raise DataError(f"methods scored different sample sets for module {m}")
 
-    cells = []
+    table = {key: [] for key in ("fault", "module", "n_normal", "n_abnormal", "auc_multi",
+                                 "sd_multi", "auc_single", "sd_single", "delta")}
     for fault in np.unique(labels[labels != normal_label]).tolist():
         for m in present:
             neg = (modules == m) & (labels == normal_label)
             pos = (modules == m) & (labels == fault)
             n_neg, n_pos = int(neg.sum()), int(pos.sum())
-            if not n_pos or not n_neg:
-                cells.append(ComparisonCell(fault, m, n_neg, n_pos, None, None, None, None))
-                continue
-            single = single_scores[m]
-            cells.append(
-                ComparisonCell(
-                    fault, m, n_neg, n_pos,
-                    *_method_auc(multi_scores, neg, pos),
-                    *_method_auc(
-                        single, single.label == normal_label, single.label == fault
-                    ),
-                )
-            )
-    return cells
+            multi = single = (None, None)
+            delta = None
+            if n_neg and n_pos:
+                s = single_scores[m]
+                multi = _method_auc(multi_scores, neg, pos)
+                single = _method_auc(s, s.label == normal_label, s.label == fault)
+                delta = multi[0] - single[0]
+            row = (fault, m, n_neg, n_pos, *multi, *single, delta)
+            for column, cell in zip(table.values(), row, strict=True):
+                column.append(cell)
+    return table
 
 
 # ---------------------------------------------------------------- CSV output
@@ -427,21 +374,10 @@ def write_roc_csv(path, curve: RocCurve) -> None:
     write_csv(path, ["threshold", "fpr", "tpr"], [curve.thresholds, *curve.points.T])
 
 
-def write_auc_table_csv(path, rows: list[dict]) -> None:
-    header = ["fault", "module", "channel", "auc", "n_normal", "n_abnormal", "channel_rank"]
-    write_csv(path, header, [[r[k] for r in rows] for k in header])
+def write_auc_table_csv(path, table: dict) -> None:
+    """Write a column table: its keys are the header, its values the columns."""
+    write_csv(path, list(table), table.values())
 
 
-def write_boxstats_csv(path, rows: list[dict]) -> None:
-    header = ["module", "label", "channel", "count", "min", "q1", "median", "q3", "max", "mean"]
-    write_csv(path, header, [[r[k] for r in rows] for k in header])
-
-
-def write_density_csv(path, rows: list[dict]) -> None:
-    header = ["label", "channel", "bin_low", "bin_high", "count", "fraction"]
-    write_csv(path, header, [[r[k] for r in rows] for k in header])
-
-
-def write_comparison_csv(path, cells: list[ComparisonCell]) -> None:
-    header = [f.name for f in fields(ComparisonCell)] + ["delta"]
-    write_csv(path, header, [[getattr(c, k) for c in cells] for k in header])
+# every summary table is written the same way
+write_boxstats_csv = write_density_csv = write_comparison_csv = write_auc_table_csv

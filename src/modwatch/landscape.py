@@ -1,8 +1,8 @@
 """Filter-normalized 2-D loss surfaces f(alpha, beta) = L(theta + alpha*g + beta*n).
 
 Directions are drawn per layer and rescaled so every conv filter and dense
-row matches the Frobenius norm of the corresponding weight unit; bias
-entries stay zero.  Grid cells are independent, evaluated with the latent
+row matches the Frobenius norm of the corresponding weight unit; biases
+are not moved.  Grid cells are independent, evaluated with the latent
 noise frozen to zero, and may be computed by any number of workers without
 changing a single bit of the result.
 """
@@ -23,14 +23,8 @@ _DIRECTION_TAG = 0xD1A
 
 
 @dataclass
-class DirectionLayer:
-    kernels: np.ndarray
-    bias: np.ndarray  # always zero; kept so dims mirror the parameters
-
-
-@dataclass
 class Direction:
-    layers: dict[str, DirectionLayer]
+    layers: dict[str, np.ndarray]  # layer name -> kernel direction; biases are not moved
     seed: int
     tag: str = "gamma"
 
@@ -39,21 +33,18 @@ def random_direction(params: ModelParameters, seed: int, tag: str = "gamma") -> 
     """Standard-normal draw per weight entry, filter-normalized to the
     parameters; zero-norm weight units yield zero direction units."""
     rng = seeded_rng(seed, _DIRECTION_TAG)
-    layers = {}
-    for name, lw in params.layers.items():
-        draw = rng.standard_normal(lw.kernels.data.shape).astype(DTYPE)
-        layers[name] = DirectionLayer(
-            kernels=draw, bias=np.zeros_like(lw.bias.data)
-        )
-    d = Direction(layers=layers, seed=seed, tag=tag)
-    return normalize_direction(d, params)
+    layers = {
+        name: rng.standard_normal(lw.kernels.data.shape).astype(DTYPE)
+        for name, lw in params.layers.items()
+    }
+    return normalize_direction(Direction(layers=layers, seed=seed, tag=tag), params)
 
 
 def _check_dims(direction: Direction, params: ModelParameters) -> None:
     for name, lw in params.layers.items():
         if name not in direction.layers:
             raise ShapeError(f"direction is missing layer {name!r}")
-        dims = direction.layers[name].kernels.shape
+        dims = direction.layers[name].shape
         if dims != lw.kernels.data.shape:
             raise ShapeError(f"direction dims {dims} vs weights "
                              f"{lw.kernels.data.shape} for layer {name!r}")
@@ -65,14 +56,14 @@ def normalize_direction(direction: Direction, params: ModelParameters) -> Direct
     _check_dims(direction, params)
     layers = {}
     for name, lw in params.layers.items():
-        src = direction.layers[name].kernels
+        src = direction.layers[name]
         wn = unit_norms(lw.kernels.data)
         dn = unit_norms(src)
         live = (wn != 0.0) & (dn != 0.0)
         scale = np.divide(wn, dn, out=np.zeros_like(wn), where=live)
         out = (src.astype(np.float64) * scale.reshape(-1, *[1] * (src.ndim - 1))).astype(DTYPE)
         out[~live] = 0.0
-        layers[name] = DirectionLayer(kernels=out, bias=np.zeros_like(lw.bias.data))
+        layers[name] = out
     return Direction(layers=layers, seed=direction.seed, tag=direction.tag)
 
 
@@ -106,8 +97,8 @@ def _offset_parameters(
 ) -> ModelParameters:
     layers = {}
     for name, lw in params.layers.items():
-        g = gamma.layers[name].kernels
-        v = nu.layers[name].kernels
+        g = gamma.layers[name]
+        v = nu.layers[name]
         # fixed operand order; the two scaled terms commute bitwise, which
         # makes evaluate_grid(gamma, nu) the exact transpose of (nu, gamma)
         shifted = lw.kernels.data + (alpha * g + beta * v)

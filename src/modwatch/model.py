@@ -15,7 +15,7 @@ always strictly positive by construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -216,7 +216,6 @@ class LatentDistribution:
     mu: Tensor
     log_var: Tensor
     epsilon: Tensor | None = None
-    z: Tensor | None = None
 
     def sigma(self) -> Tensor:
         return T.exp(T.scalar_mul(self.log_var, 0.5))
@@ -274,7 +273,6 @@ def reparameterize(dist: LatentDistribution, epsilon: np.ndarray) -> Tensor:
     eps_t = Tensor(eps)
     z = T.add(dist.mu, T.mul(dist.sigma(), eps_t))
     dist.epsilon = eps_t
-    dist.z = z
     return z
 
 
@@ -333,13 +331,12 @@ def kld_gaussian(dist: LatentDistribution) -> Tensor:
 
 @dataclass
 class LossTensors:
-    """Scalar loss graph nodes for one forward pass, plus the latent used."""
+    """Scalar loss graph nodes for one forward pass."""
 
     reconstruction: Tensor
     kld: Tensor
     total: Tensor
     eta: float
-    dist: LatentDistribution = field(repr=False)
 
     def breakdown(self) -> LossBreakdown:
         rec, kl, tot = (
@@ -365,16 +362,12 @@ def loss_forward(
     epsilon = 0 limit); pass a (batch, latent) draw for stochastic steps.
     """
     dist = encode(params, spec, x, module_ids)
-    if epsilon is None:
-        z = dist.mu
-        dist.z = z
-    else:
-        z = reparameterize(dist, epsilon)
+    z = dist.mu if epsilon is None else reparameterize(dist, epsilon)
     x_hat = decode(params, spec, z, module_ids)
     rec = mse(x, x_hat)
     kl = kld_gaussian(dist)
     total = T.add(rec, T.scalar_mul(kl, eta))
-    return LossTensors(reconstruction=rec, kld=kl, total=total, eta=eta, dist=dist)
+    return LossTensors(reconstruction=rec, kld=kl, total=total, eta=eta)
 
 
 def loss(

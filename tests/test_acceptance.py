@@ -520,7 +520,7 @@ def test_criterion_07_landscape_exactness():
         for direction in (gamma, nu):
             for name, lw in params.layers.items():
                 w = L.unit_norms(lw.kernels.data)
-                d = L.unit_norms(direction.layers[name].kernels)
+                d = L.unit_norms(direction.layers[name])
                 mask = w > 0
                 assert np.all(np.abs(d[mask] - w[mask]) / w[mask] <= 1e-6), name
                 assert np.all(d[~mask] == 0.0)

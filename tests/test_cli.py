@@ -149,6 +149,31 @@ def test_eval_comparison_needs_both_model_kinds(workspace, tmp_path):
     assert header[-1] == "delta"
 
 
+def test_eval_without_faults_writes_header_only_tables(tmp_path):
+    data = tmp_path / "data"
+    assert run("generate", "--out", str(data), "--modules", "2",
+               "--samples-per-module", "64", "--time-steps", "32",
+               "--faults", "0", "--seed", "5") == 0
+    dataset = str(data / "dataset.mwts")
+    common = ("--epochs", "1", "--batch-size", "8", "--seed", "5")
+    assert run("train", "--data", dataset, "--out", str(tmp_path / "cvae"),
+               "--mode", "cvae", *common) == 0
+    assert run("train", "--data", dataset, "--out", str(tmp_path / "singles"),
+               "--mode", "vae", *common) == 0
+    out = tmp_path / "metrics"
+    assert run("eval", "--data", dataset, "--multi", str(tmp_path / "cvae"),
+               "--single-dir", str(tmp_path / "singles"), "--out", str(out),
+               "--seed", "5") == 0
+    for name, header in (
+        ("auc_table.csv", "fault,module,channel,auc,n_normal,n_abnormal,channel_rank"),
+        ("report.csv", "fault,module,n_normal,n_abnormal,auc_multi,sd_multi,auc_single,"
+                       "sd_single,delta"),
+    ):
+        assert (out / name).read_text().splitlines() == [header], name
+    assert not list(out.glob("roc_*.csv"))
+    assert "mean_auc_delta" not in read_manifest(out / "manifest.txt")
+
+
 def test_larger_fpr_budget_lowers_threshold(workspace, tmp_path):
     data = workspace / "data" / "dataset.mwts"
     results = {}
@@ -238,6 +263,15 @@ def test_landscape_res_one_is_center_only(workspace, tmp_path):
     assert float(alpha) == 0.0
     assert np.isfinite(float(loss))
     assert not (out / "report.csv").exists()
+
+
+def test_landscape_without_model_is_a_usage_error(workspace, tmp_path):
+    out = tmp_path / "land"
+    with pytest.raises(SystemExit) as exc:
+        run("landscape", "--data", str(workspace / "data" / "dataset.mwts"),
+            "--out", str(out))
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_landscape_depth_sweep(workspace, tmp_path):

@@ -10,7 +10,6 @@ from modwatch import data as D
 from modwatch import model as M
 from modwatch.errors import ConfigError, DataError, ShapeError
 from modwatch.evaluate import (
-    _box_rows,
     _rank_auc,
     AnomalyScore,
     ScoreTable,
@@ -394,26 +393,36 @@ class TestScore:
 
 
 def box_stats(values):
-    return _box_rows(np.asarray(values, dtype=np.float64)[None, :])[0]
+    """summarize's box row for one group whose single channel holds ``values``."""
+    v = np.asarray(values, dtype=np.float64)
+    scores = stack_scores(
+        AnomalyScore(i, 0, D.NORMAL_LABEL, v[i : i + 1], float(v[i])) for i in range(v.size))
+    box, _ = summarize(scores, ["c0"])
+    assert box["channel"][1] == "c0"
+    return {key: column[1] for key, column in box.items()}
+
+
+def assert_columns_line_up(table):
+    assert len({len(column) for column in table.values()}) == 1, table.keys()
 
 
 class TestBoxStats:
     def test_midpoint_convention(self):
         st_ = box_stats([1, 2, 3, 4, 5])
-        assert (st_.q1, st_.median, st_.q3) == (2.0, 3.0, 4.0)
-        assert (st_.minimum, st_.maximum, st_.mean) == (1.0, 5.0, 3.0)
+        assert (st_["q1"], st_["median"], st_["q3"]) == (2.0, 3.0, 4.0)
+        assert (st_["min"], st_["max"], st_["mean"], st_["count"]) == (1.0, 5.0, 3.0, 5)
 
     def test_identical_scores_collapse(self):
         st_ = box_stats([7.5] * 12)
-        assert st_.minimum == st_.q1 == st_.median == st_.q3 == st_.maximum == 7.5
+        assert st_["min"] == st_["q1"] == st_["median"] == st_["q3"] == st_["max"] == 7.5
 
     def test_matches_sort_oracle(self, rng):
         v = rng.standard_normal(101)
         st_ = box_stats(v)
         s = np.sort(v)
-        assert st_.median == s[50]
-        assert st_.q1 == s[25]
-        assert st_.q3 == s[75]
+        assert st_["median"] == s[50]
+        assert st_["q1"] == s[25]
+        assert st_["q3"] == s[75]
 
 
 class TestDensity:
@@ -463,15 +472,28 @@ def synthetic_scores(rng, n_normal=30, n_fault=10, modules=(0, 1), fault="IGBT",
 class TestSummarize:
     def test_groups_and_columns(self, rng):
         scores = synthetic_scores(rng)
-        box_rows, density_rows = summarize(scores, ["c0", "c1", "c2"])
-        groups = {(r["module"], r["label"]) for r in box_rows}
+        box, density = summarize(scores, ["c0", "c1", "c2"])
+        assert_columns_line_up(box)
+        assert_columns_line_up(density)
+        groups = set(zip(box["module"].tolist(), box["label"].tolist()))
         assert groups == {(0, "IGBT"), (1, "IGBT"), (0, "normal"), (1, "normal")}
-        channels = {r["channel"] for r in box_rows}
-        assert channels == {"aggregate", "c0", "c1", "c2"}
+        assert set(box["channel"].tolist()) == {"aggregate", "c0", "c1", "c2"}
         # every (label, channel) density block spans the full grid
-        assert len(density_rows) == 2 * 4 * 32
-        frac = sum(r["fraction"] for r in density_rows if r["label"] == "IGBT" and r["channel"] == "aggregate")
-        assert frac == pytest.approx(1.0)
+        assert len(density["label"]) == 2 * 4 * 32
+        block = (density["label"] == "IGBT") & (density["channel"] == "aggregate")
+        assert density["fraction"][block].sum() == pytest.approx(1.0)
+        assert np.array_equal(density["bin_low"][block], DENSITY_EDGES[:-1])
+
+    def test_box_rows_match_each_group_taken_alone(self, rng):
+        scores = synthetic_scores(rng)
+        box, _ = summarize(scores, ["c0", "c1", "c2"])
+        values = np.column_stack([scores.aggregate, scores.channel_mse])
+        for i, (module, label) in enumerate(zip(box["module"], box["label"])):
+            c = i % 4
+            group = values[(scores.module_id == module) & (scores.label == label), c]
+            assert box["count"][i] == group.size
+            assert box["median"][i] == np.percentile(group, 50.0)
+            assert box["mean"][i] == group.mean()
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
@@ -481,13 +503,24 @@ class TestSummarize:
 class TestAucTable:
     def test_fault_channel_ranks_first(self, rng):
         scores = synthetic_scores(rng, fault_channel=1, separation=8.0)
-        rows = auc_table(scores, ["c0", "c1", "c2"])
+        table = auc_table(scores, ["c0", "c1", "c2"])
+        assert_columns_line_up(table)
+        rows = [dict(zip(table, row)) for row in zip(*table.values())]
         pooled = {r["channel"]: r for r in rows if r["module"] == "all"}
         assert pooled["c1"]["auc"] == 1.0
         assert pooled["c1"]["channel_rank"] == 1
         assert pooled["aggregate"]["n_abnormal"] == 10
+        assert pooled["aggregate"]["channel_rank"] == ""
         module_rows = [r for r in rows if r["module"] != "all"]
         assert {r["module"] for r in module_rows} == {0, 1}
+        assert {r["channel"] for r in module_rows} == {"aggregate"}
+
+    def test_tied_channels_keep_channel_order(self, rng):
+        scores = synthetic_scores(rng, separation=8.0)
+        scores.channel_mse[:, 2] = scores.channel_mse[:, 0]  # c0 and c2 tie
+        table = auc_table(scores, ["c0", "c1", "c2"])
+        ranks = dict(zip(table["channel"][1:4], table["channel_rank"][1:4]))
+        assert ranks == {"c1": 1, "c0": 2, "c2": 3}
 
     def test_requires_normals(self, rng):
         scores = stack_scores(s for s in synthetic_scores(rng) if s.label != D.NORMAL_LABEL)
@@ -499,10 +532,10 @@ class TestCompareMethods:
     def test_identical_scores_give_zero_delta(self, rng):
         multi = synthetic_scores(rng, draws=6)
         single = {m: stack_scores(s for s in multi if s.module_id == m) for m in (0, 1)}
-        cells = compare_methods(multi, single)
-        for c in cells:
-            assert c.delta == 0.0
-            assert c.sd_multi is not None and c.sd_multi >= 0
+        table = compare_methods(multi, single)
+        assert_columns_line_up(table)
+        assert table["delta"] and all(d == 0.0 for d in table["delta"])
+        assert all(sd is not None and sd >= 0 for sd in table["sd_multi"])
 
     def test_absent_cells_marked_none(self, rng):
         multi = synthetic_scores(rng, modules=(0, 1))
@@ -510,9 +543,11 @@ class TestCompareMethods:
         multi = stack_scores(
             s for s in multi if not (s.label != D.NORMAL_LABEL and s.module_id == 1))
         single = {m: stack_scores(s for s in multi if s.module_id == m) for m in (0, 1)}
-        cells = compare_methods(multi, single)
-        cell = next(c for c in cells if c.module == 1)
-        assert cell.auc_multi is None and cell.auc_single is None and c_delta_none(cell)
+        table = compare_methods(multi, single)
+        i = table["module"].index(1)
+        assert table["n_abnormal"][i] == 0 and table["n_normal"][i] > 0
+        for key in ("auc_multi", "sd_multi", "auc_single", "sd_single", "delta"):
+            assert table[key][i] is None, key
 
     def test_mismatched_sample_sets_rejected(self, rng):
         multi = synthetic_scores(rng)
@@ -529,30 +564,27 @@ class TestCompareMethods:
     def test_sd_none_without_replicas(self, rng):
         multi = synthetic_scores(rng, draws=None)
         single = {m: stack_scores(s for s in multi if s.module_id == m) for m in (0, 1)}
-        cells = compare_methods(multi, single)
-        assert all(c.sd_multi is None for c in cells if c.auc_multi is not None)
-
-
-def c_delta_none(cell):
-    return cell.delta is None
+        table = compare_methods(multi, single)
+        assert all(sd is None for auc, sd in zip(table["auc_multi"], table["sd_multi"])
+                   if auc is not None)
 
 
 class TestCsvWriters:
     def test_all_writers_produce_stable_files(self, rng, tmp_path):
         scores = synthetic_scores(rng, draws=4)
         names = ["c0", "c1", "c2"]
-        box_rows, density_rows = summarize(scores, names)
-        rows = auc_table(scores, names)
+        box, density = summarize(scores, names)
+        table = auc_table(scores, names)
         curve = roc_auc([1, 2, 3], [2, 3, 4])
         single = {m: stack_scores(s for s in scores if s.module_id == m) for m in (0, 1)}
-        cells = compare_methods(scores, single)
+        report = compare_methods(scores, single)
 
         write_scores_csv(tmp_path / "scores.csv", scores, names)
         write_roc_csv(tmp_path / "roc.csv", curve)
-        write_auc_table_csv(tmp_path / "auc_table.csv", rows)
-        write_boxstats_csv(tmp_path / "boxstats.csv", box_rows)
-        write_density_csv(tmp_path / "density.csv", density_rows)
-        write_comparison_csv(tmp_path / "report.csv", cells)
+        write_auc_table_csv(tmp_path / "auc_table.csv", table)
+        write_boxstats_csv(tmp_path / "boxstats.csv", box)
+        write_density_csv(tmp_path / "density.csv", density)
+        write_comparison_csv(tmp_path / "report.csv", report)
 
         headers = {
             "scores.csv": "sample_id,module,label,c0,c1,c2,aggregate",

@@ -9,6 +9,7 @@ from modwatch import data as D
 from modwatch import model as M
 from modwatch.errors import ConfigError, DataError, ShapeError
 from modwatch.landscape import (
+    _offset_parameters,
     ConvexityReport,
     Direction,
     LandscapeGrid,
@@ -58,7 +59,7 @@ class TestDirections:
             d = random_direction(params, seed)
             for name, lw in params.layers.items():
                 wn = unit_norms(lw.kernels.data)
-                dn = unit_norms(d.layers[name].kernels)
+                dn = unit_norms(d.layers[name])
                 nz = wn > 0
                 assert np.allclose(dn[nz] / wn[nz], 1.0, atol=1e-6), (name, seed)
 
@@ -67,7 +68,7 @@ class TestDirections:
         d = random_direction(params, 5)
         d2 = normalize_direction(d, params)
         for name in d.layers:
-            delta = np.abs(d2.layers[name].kernels - d.layers[name].kernels).max()
+            delta = np.abs(d2.layers[name] - d.layers[name]).max()
             assert delta <= 1e-7, name
 
     def test_direction_norms_track_weight_scaling(self):
@@ -79,8 +80,8 @@ class TestDirections:
         d1 = random_direction(params, 9)
         d2 = random_direction(scaled, 9)
         for name in d1.layers:
-            n1 = unit_norms(d1.layers[name].kernels)
-            n2 = unit_norms(d2.layers[name].kernels)
+            n1 = unit_norms(d1.layers[name])
+            n2 = unit_norms(d2.layers[name])
             nz = n1 > 0
             assert np.allclose(n2[nz] / n1[nz], 10.0, rtol=1e-6), name
 
@@ -88,38 +89,42 @@ class TestDirections:
         params = M.init_parameters(tiny_spec(), 3)
         params.layers["enc.conv0"].kernels.data[1] = 0.0
         d = random_direction(params, 4)
-        assert np.all(d.layers["enc.conv0"].kernels[1] == 0.0)
-        assert np.any(d.layers["enc.conv0"].kernels[0] != 0.0)
+        assert np.all(d.layers["enc.conv0"][1] == 0.0)
+        assert np.any(d.layers["enc.conv0"][0] != 0.0)
 
-    def test_bias_entries_are_zero(self):
+    def test_offsets_move_kernels_only(self):
         params = M.init_parameters(tiny_spec(), 0)
-        d = random_direction(params, 7)
+        for lw in params.layers.values():
+            lw.bias.data[:] = 0.25
+        g, n = random_direction(params, 7), random_direction(params, 8, tag="nu")
+        moved = _offset_parameters(params, g, n, 0.5, -0.25)
         for name, lw in params.layers.items():
-            assert np.all(d.layers[name].bias == 0.0)
-            assert d.layers[name].bias.shape == lw.bias.data.shape
+            assert g.layers[name].shape == lw.kernels.data.shape
+            assert np.array_equal(moved.layers[name].bias.data, lw.bias.data)
+            assert not np.array_equal(moved.layers[name].kernels.data, lw.kernels.data)
 
     def test_seed_changes_direction(self):
         params = M.init_parameters(tiny_spec(), 0)
         a = random_direction(params, 1)
         b = random_direction(params, 2)
-        assert not np.array_equal(a.layers["enc.dense"].kernels, b.layers["enc.dense"].kernels)
+        assert not np.array_equal(a.layers["enc.dense"], b.layers["enc.dense"])
 
     def test_matches_per_unit_loop(self):
         params = M.init_parameters(tiny_spec(), 4)
         params.layers["enc.conv0"].kernels.data[1] = 0.0
         raw = random_direction(params, 6)
-        for layer in raw.layers.values():
-            layer.kernels = -np.abs(layer.kernels)  # zeroed units must come out +0.0
-        raw.layers["dec.dense0"].kernels[2] = 0.0
+        for name, layer in raw.layers.items():
+            raw.layers[name] = -np.abs(layer)  # zeroed units must come out +0.0
+        raw.layers["dec.dense0"][2] = 0.0
         got = normalize_direction(raw, params)
         for name, lw in params.layers.items():
             w64 = lw.kernels.data.astype(np.float64)
-            d64 = raw.layers[name].kernels.astype(np.float64)
-            want = np.empty_like(raw.layers[name].kernels)
+            d64 = raw.layers[name].astype(np.float64)
+            want = np.empty_like(raw.layers[name])
             for j in range(want.shape[0]):
                 wn, dn = np.linalg.norm(w64[j]), np.linalg.norm(d64[j])
                 want[j] = 0.0 if wn == 0.0 or dn == 0.0 else (d64[j] * (wn / dn)).astype(np.float32)
-            assert np.array_equal(got.layers[name].kernels.view(np.uint32), want.view(np.uint32)), name
+            assert np.array_equal(got.layers[name].view(np.uint32), want.view(np.uint32)), name
 
     def test_mismatched_direction_rejected(self):
         params = M.init_parameters(tiny_spec(), 0)
