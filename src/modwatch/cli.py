@@ -521,9 +521,9 @@ def cmd_eval(args) -> int:
     wt = _load_dataset(args.data)
     stats = _find_stats(args.stats, args.multi if args.multi else args.single_dir)
     parts = _Splits(wt, file_cfg, stats)
-    out = _outdir(args)
     multi = load_checkpoint(_find_checkpoint(args.multi)) if args.multi else None
     singles = _load_single_models(args.single_dir) if args.single_dir else None
+    out = _outdir(args)
     entries, single_scores = _detection_stage(out, parts, ev, multi, singles, jobs)
     for module, scores_m in sorted((single_scores or {}).items()):
         E.write_scores_csv(
@@ -554,9 +554,9 @@ def cmd_landscape(args) -> int:
     )
     tc = _train_config(file_cfg, args.seed)
     wt = _load_dataset(args.data)
-    out = _outdir(args)
     spec, params = load_checkpoint(_find_checkpoint(args.model))
     parts = _Splits(wt, file_cfg, _find_stats(args.stats, args.model))
+    out = _outdir(args)
 
     if args.depth_sweep:
         _depth_stage(out, spec, parts, tc, ls, jobs)

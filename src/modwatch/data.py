@@ -162,6 +162,14 @@ class WaveformTensor:
     sample_ids: np.ndarray
 
     def validate(self) -> "WaveformTensor":
+        """The structural checks, then one finiteness pass over the data."""
+        self.validate_structure()
+        check_finite(self.data, "waveform data")
+        return self
+
+    def validate_structure(self) -> "WaveformTensor":
+        """Dims, dtype, channel names and metadata lengths; the values are
+        not read, so a caller that walks the data checks them as it goes."""
         if self.data.ndim != 3:
             raise ShapeError(f"waveform data must be 3-d, got dims {self.data.shape}")
         if self.data.dtype != np.float32:
@@ -178,7 +186,6 @@ class WaveformTensor:
         ):
             if arr.shape != (n,):
                 raise ShapeError(f"{name} dims {arr.shape} vs sample count {n}")
-        check_finite(self.data, "waveform data")
         return self
 
     @property
@@ -459,6 +466,14 @@ class ChannelStats:
         return cls(mean=mean, sd=sd, constant=constant)
 
 
+# float64 values per block of standardize's apply pass: 256 KiB, so a block
+# of input rows, its float64 work buffer and its float32 output fit in L2
+BLOCK = 32768
+
+
+# a non-finite value surfaces as the block checks' NumericError, not as
+# numpy warnings on the way there
+@np.errstate(invalid="ignore", over="ignore", divide="ignore")
 def standardize(
     wt: WaveformTensor, stats: ChannelStats | None = None
 ) -> tuple[WaveformTensor, ChannelStats]:
@@ -468,27 +483,43 @@ def standardize(
     this on the training split only); otherwise the given statistics are
     applied unchanged.  Constant channels map to exactly zero and are
     flagged rather than divided by ~0.
+
+    The statistics are applied to blocks of ``BLOCK // channels`` rows
+    through one float64 buffer, and each block's input and output are
+    checked for non-finite values while it is in cache.
     """
-    wt.validate()
+    wt.validate_structure()
+    flat = wt.data.reshape(-1, wt.channels)
     if stats is None:
-        flat = wt.data.reshape(-1, wt.channels).astype(np.float64)
-        mean = flat.mean(axis=0)
-        sd = flat.std(axis=0)
+        wide = flat.astype(np.float64)
+        mean = wide.mean(axis=0)
+        sd = wide.std(axis=0)
+        del wide
         constant = sd < ChannelStats.CONSTANT_SD
         stats = ChannelStats(mean=mean, sd=sd, constant=constant)
     if stats.mean.shape != (wt.channels,):
         raise ShapeError(f"stats cover {stats.mean.shape[0]} channels, data has {wt.channels}")
     safe_sd = np.where(stats.constant, 1.0, stats.sd)
-    out = (wt.data.astype(np.float64) - stats.mean) / safe_sd
-    out[:, :, stats.constant] = 0.0
+    out = np.empty(flat.shape, dtype=np.float32)
+    rows = max(1, BLOCK // wt.channels)
+    work = np.empty((rows, wt.channels), dtype=np.float64)
+    for lo in range(0, flat.shape[0], rows):
+        src, dst = flat[lo : lo + rows], out[lo : lo + rows]
+        check_finite(src, "waveform data")
+        buf = work[: src.shape[0]]
+        np.subtract(src, stats.mean, out=buf)
+        np.divide(buf, safe_sd, out=buf)
+        buf[:, stats.constant] = 0.0
+        dst[...] = buf
+        check_finite(dst, "standardized waveform data")
     new = WaveformTensor(
-        data=out.astype(np.float32),
+        data=out.reshape(wt.data.shape),
         channel_names=wt.channel_names,
         module_ids=wt.module_ids.copy(),
         labels=wt.labels.copy(),
         sample_ids=wt.sample_ids.copy(),
     )
-    return new.validate(), stats
+    return new, stats
 
 
 @dataclass

@@ -20,7 +20,7 @@ from .data import WaveformTensor
 from .errors import ConfigError, DataError, ShapeError
 from .model import ModelParameters, ModelSpec
 from .tensor import Tensor
-from .util import parallel_map, seeded_rng, write_csv
+from .util import check_finite, parallel_map, seeded_rng, write_csv
 
 _DRAW_TAG = 0x5C02
 DENSITY_EDGES = 10.0 ** (np.arange(33) * 0.25 - 7.0)  # 1e-7 .. 1e1, 0.25 decades
@@ -99,7 +99,7 @@ def score(
         raise ConfigError(f"unknown scoring mode {mode!r}")
     if mode == "sampled" and n_draws < 2:
         raise ConfigError(f"sampled mode needs n_draws >= 2, got {n_draws}")
-    data.validate()
+    data.validate_structure()  # each batch is checked for finiteness as it is read
     if data.data.shape[1:] != (spec.time_steps, spec.channels):
         raise ShapeError(
             f"data dims {data.data.shape[1:]} vs model ({spec.time_steps}, {spec.channels})"
@@ -116,7 +116,7 @@ def score(
 
     def _score_batch(start: int) -> None:
         rows = slice(start, min(start + batch_size, n))
-        x = data.data[rows]
+        x = check_finite(data.data[rows], "waveform data")
         x64 = x.astype(np.float64)
         ids = data.module_ids[rows] if spec.mode == "cvae" else None
         if mode == "deterministic":

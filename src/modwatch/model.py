@@ -158,11 +158,21 @@ class ModelParameters:
         return ModelParameters(layers)
 
 
+# float64 draws per chunk of a layer's initialisation: 256 KiB
+INIT_CHUNK = 32768
+
+
 def _uniform_layer(rng: np.random.Generator, kind: str, dims: tuple[int, ...]) -> LayerWeights:
-    # fan-in scaled uniform: U(-1/sqrt(fan_in), 1/sqrt(fan_in)); zero bias
+    # fan-in scaled uniform: U(-1/sqrt(fan_in), 1/sqrt(fan_in)); zero bias.
+    # Drawn in chunks into the float32 kernels: the same stream as one draw,
+    # without a float64 copy of the layer.
     fan_in = int(np.prod(dims[1:]))
     bound = 1.0 / np.sqrt(fan_in)
-    kernels = rng.uniform(-bound, bound, size=dims).astype(DTYPE)
+    kernels = np.empty(dims, dtype=DTYPE)
+    flat = kernels.reshape(-1)
+    for lo in range(0, flat.size, INIT_CHUNK):
+        part = flat[lo : lo + INIT_CHUNK]
+        part[...] = rng.uniform(-bound, bound, size=part.size)
     bias = np.zeros(dims[0], dtype=DTYPE)
     return LayerWeights(kind, Tensor(kernels, requires_grad=True), Tensor(bias, requires_grad=True))
 

@@ -51,14 +51,20 @@ def write_str(fh, text: str) -> None:
     fh.write(payload)
 
 
-def read_exact(fh, nbytes: int, what: str) -> bytes:
-    """Read ``nbytes`` (an exact Python int) from a seekable file, after
-    checking that the file still holds that many."""
+def _check_left(fh, nbytes: int, what: str) -> None:
+    """``DataError`` unless the seekable ``fh`` still holds ``nbytes`` (an
+    exact Python int); the position is left where it was."""
     pos = fh.tell()
     left = fh.seek(0, io.SEEK_END) - pos
     fh.seek(pos)
     if nbytes > left:
         raise DataError(f"truncated file: {what} needs {nbytes} bytes, {left} left")
+
+
+def read_exact(fh, nbytes: int, what: str) -> bytes:
+    """Read ``nbytes`` from a seekable file, after checking that the file
+    still holds that many."""
+    _check_left(fh, nbytes, what)
     return fh.read(nbytes)
 
 
@@ -92,10 +98,16 @@ def write_f32_array(fh, arr: np.ndarray) -> None:
 
 def read_f32(fh, dims: tuple[int, ...], what: str) -> np.ndarray:
     """A row-major float32 payload of ``dims``, sized with ``math.prod`` so
-    a product of corrupt dims never wraps."""
-    raw = read_exact(fh, 4 * math.prod(dims), what)
+    a product of corrupt dims never wraps.  The file is read straight into
+    the array, so the payload is held once."""
+    count = math.prod(dims)
+    _check_left(fh, 4 * count, what)
+    flat = np.empty(count, dtype=F32)
+    got = fh.readinto(memoryview(flat).cast("B"))
+    if got != flat.nbytes:
+        raise DataError(f"truncated file: {what} needs {flat.nbytes} bytes, read {got}")
     try:
-        return np.frombuffer(raw, dtype=F32).reshape(dims).copy()
+        return flat.reshape(dims)
     except ValueError as exc:  # a zero dim beside dims numpy cannot hold
         raise DataError(f"{what}: dims {dims} cannot be held in memory") from exc
 

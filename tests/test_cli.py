@@ -461,6 +461,16 @@ def test_exit_code_corrupt_checkpoint(workspace, tmp_path, capsys, name, first_a
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command, model_flag", [("eval", "--multi"), ("landscape", "--model")])
+def test_missing_checkpoint_leaves_no_out_dir(workspace, tmp_path, capsys, command, model_flag):
+    out = tmp_path / "never"
+    assert run(command, "--data", str(workspace / "data" / "dataset.mwts"),
+               model_flag, str(tmp_path / "nowhere"),
+               "--stats", str(workspace / "cvae" / "stats.csv"), "--out", str(out)) == 4
+    assert "checkpoint not found" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_dataset_name_not_utf8(workspace, tmp_path, capsys):
     payload = bytearray((workspace / "data" / "dataset.mwts").read_bytes())
     payload[24] = 0xFF  # first byte of the first channel name

@@ -12,7 +12,7 @@ import pytest
 
 from modwatch import data as D
 from modwatch import serialize as ser
-from modwatch.errors import ConfigError, DataError, ShapeError
+from modwatch.errors import ConfigError, DataError, NumericError, ShapeError
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +184,120 @@ class TestStandardize:
         np.testing.assert_array_equal(loaded.constant, stats.constant)
 
 
+def whole_array_standardize(data, stats):
+    """The whole-array expression ``standardize`` applied before it worked
+    in blocks; the blocked pass must give the same bits."""
+    safe_sd = np.where(stats.constant, 1.0, stats.sd)
+    out = (data.astype(np.float64) - stats.mean) / safe_sd
+    out[:, :, stats.constant] = 0.0
+    return out.astype(np.float32)
+
+
+def tensor_of(data):
+    n = data.shape[0]
+    return D.WaveformTensor(
+        data=data,
+        channel_names=D.CHANNELS[: data.shape[2]],
+        module_ids=np.zeros(n, dtype=np.int32),
+        labels=np.full(n, D.NORMAL_LABEL, dtype="<U16"),
+        sample_ids=np.arange(n, dtype=np.int64),
+    )
+
+
+def given_stats(channels):
+    """Statistics as a stats.csv gives them, with channel 3 constant."""
+    rng = np.random.default_rng(channels)
+    stats = D.ChannelStats(
+        mean=rng.normal(size=channels),
+        sd=rng.uniform(0.01, 3.0, size=channels),
+        constant=np.zeros(channels, dtype=bool),
+    )
+    stats.sd[3] = 0.0
+    stats.constant[3] = True
+    return stats
+
+
+class TestBlockedStandardize:
+    BLOCK_ROWS = D.BLOCK // len(D.CHANNELS)
+
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    def test_same_bits_as_whole_array(self, rows):
+        # a row is one (sample, time step): `rows` samples of one step each
+        rng = np.random.default_rng(rows)
+        data = rng.normal(0.5, 4.0, size=(rows, 1, len(D.CHANNELS))).astype(np.float32)
+        data[:, :, 3] = 7.25  # a constant channel
+        stats = given_stats(len(D.CHANNELS))
+        out, same = D.standardize(tensor_of(data), stats)
+        assert same is stats
+        assert out.data.dtype == np.float32 and out.data.shape == data.shape
+        assert out.data.tobytes() == whole_array_standardize(data, stats).tobytes()
+
+    def test_fitted_stats_same_bits_with_blocks_inside_samples(self):
+        rng = np.random.default_rng(5)
+        data = rng.normal(-1.0, 2.0, size=(5, 1000, len(D.CHANNELS))).astype(np.float32)
+        data[:, :, 3] = 7.25
+        out, stats = D.standardize(tensor_of(data))
+        assert stats.constant[3]
+        assert out.data.tobytes() == whole_array_standardize(data, stats).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_in_constant_channel_still_rejected(self):
+        # the output zeroes that channel, so only the input check can see it
+        data = np.ones((4, 8, len(D.CHANNELS)), dtype=np.float32)
+        data[2, 5, 3] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            D.standardize(tensor_of(data), given_stats(len(D.CHANNELS)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_inf_in_a_split_being_fitted_rejected(self):
+        data = np.ones((4, 8, len(D.CHANNELS)), dtype=np.float32)
+        data[3, 7, 9] = np.inf
+        with pytest.raises(NumericError, match="non-finite"):
+            D.standardize(tensor_of(data))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_after_division_rejected(self):
+        # finite float32 input that a small SD pushes past the float32 range
+        data = np.zeros((4, 8, len(D.CHANNELS)), dtype=np.float32)
+        data[1, 2, 0] = 3e38
+        stats = given_stats(len(D.CHANNELS))
+        stats.mean[:] = 0.0
+        stats.sd[0] = 1e-7
+        with pytest.raises(NumericError, match="non-finite"):
+            D.standardize(tensor_of(data), stats)
+
+
+@pytest.fixture(scope="module")
+def payload_set():
+    return D.generate(D.GeneratorConfig(module_count=2, samples_per_module=60,
+                                        fault_count=0, seed=3).validate())
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDataPathPeaks:
+    """Each stage of the eval data path holds its arrays once: peaks under
+    tracemalloc as a multiple of the float32 payload."""
+
+    def test_load_reads_the_payload_in_place(self, payload_set):
+        fh = io.BytesIO(D.dataset_bytes(payload_set))
+        loaded, peak = traced_peak(lambda: D.load_dataset(fh))
+        np.testing.assert_array_equal(loaded.data, payload_set.data)
+        assert peak <= 1.05 * payload_set.data.nbytes
+
+    def test_standardize_with_given_stats_holds_one_block(self, payload_set):
+        _, stats = D.standardize(payload_set)
+        _, peak = traced_peak(lambda: D.standardize(payload_set, stats))
+        assert peak <= 1.05 * payload_set.data.nbytes + 8 * D.BLOCK
+
+
 class TestSplit:
     def test_80_10_10_per_module(self):
         cfg = D.GeneratorConfig(
@@ -340,6 +454,16 @@ class TestClaimedSizes:
     def test_float_array_dims(self, header):
         with pytest.raises(DataError):
             ser.read_f32_array(io.BytesIO(header + bytes(40)))
+
+    def test_short_read_of_a_payload_raises(self):
+        # the file shrinks between the size check and the read
+        class ShortReads(io.BytesIO):
+            def readinto(self, buffer):
+                return super().readinto(memoryview(buffer)[:-4])
+
+        fh = ShortReads(struct.pack("<IQ", 1, 10) + bytes(40))
+        with pytest.raises(DataError, match="needs 40 bytes, read 36"):
+            ser.read_f32_array(fh)
 
     def test_string_must_be_utf8(self):
         with pytest.raises(DataError, match="UTF-8"):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from modwatch import data as D
 from modwatch import model as M
-from modwatch.errors import ConfigError, DataError, ShapeError
+from modwatch.errors import ConfigError, DataError, NumericError, ShapeError
 from modwatch.evaluate import (
     _rank_auc,
     AnomalyScore,
@@ -344,6 +344,28 @@ class TestScore:
                     assert a.replica_aggregates.tobytes() == b.replica_aggregates.tobytes()
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_nan_in_any_batch_rejected(self, jobs):
+        # each batch is checked as it is read, on whichever thread reads it
+        spec = tiny_spec()
+        params = M.init_parameters(spec, 0)
+        ds = toy_set(n=10, seed=1)
+        ds.data[8, 3, 1] = np.nan  # in the last of four batches
+        with pytest.raises(NumericError, match="non-finite"):
+            score(params, spec, ds, batch_size=3, jobs=jobs)
+
+    @pytest.mark.parametrize("field", ["dtype", "labels", "sample_ids"])
+    def test_malformed_tensor_rejected(self, field):
+        spec = tiny_spec()
+        params = M.init_parameters(spec, 0)
+        ds = toy_set()
+        if field == "dtype":
+            ds.data = ds.data.astype(np.float64)
+        else:
+            setattr(ds, field, getattr(ds, field)[:-1])
+        with pytest.raises(ShapeError):
+            score(params, spec, ds)
 
     def test_bad_mode_rejected(self):
         spec = tiny_spec()

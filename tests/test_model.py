@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,26 @@ class TestInitialization:
             bound = 1.0 / math.sqrt(fan_in)
             assert np.abs(lw.kernels.data).max() <= bound, name
             np.testing.assert_array_equal(lw.bias.data, 0)
+
+    def test_chunked_draws_are_one_draw(self):
+        # a layer of several chunks plus a partial one keeps the single
+        # float64 draw's stream, cast once
+        dims = (5, 3, M.INIT_CHUNK // 7)
+        bound = 1.0 / np.sqrt(dims[1] * dims[2])
+        want = np.random.default_rng(9).uniform(-bound, bound, size=dims).astype(np.float32)
+        got = M._uniform_layer(np.random.default_rng(9), "conv1d", dims).kernels.data
+        assert got.tobytes() == want.tobytes()
+
+    def test_init_holds_no_float64_copy_of_a_layer(self):
+        spec = M.desk_spec()
+        tracemalloc.start()
+        try:
+            params = M.init_parameters(spec, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(t.data.nbytes for _, t in params.named_tensors())
+        assert peak <= 1.25 * nbytes
 
     def test_layer_plan_matches_mode(self):
         cvae = {name for name, _, _ in M.layer_plan(tiny_spec("cvae"))}
