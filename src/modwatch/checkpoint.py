@@ -7,12 +7,9 @@ byte-identical.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from . import serialize as ser
-from .errors import DataError
-from .model import ModelParameters, ModelSpec, layer_plan
-from .tensor import LayerWeights, Tensor
+from .errors import ConfigError, DataError, ShapeError
+from .model import ModelParameters, ModelSpec, layer_plan, parameter_count
 
 MAGIC = b"MWCK"
 VERSION = 1
@@ -36,39 +33,40 @@ def save_checkpoint(path, spec: ModelSpec, params: ModelParameters) -> str:
 
 
 def load_checkpoint(path) -> tuple[ModelSpec, ModelParameters]:
+    """Read a checkpoint straight into the parameter buffer its spec lays
+    out.  Every way the file can disagree with itself, a spec included,
+    is a ``DataError``; the payload size is checked before the buffer is
+    allocated."""
     fh, owned = ser.open_maybe(path, "rb")
     try:
         ser.check_magic(fh, MAGIC, "checkpoint")
         version = ser.read_u32(fh)
         if version != VERSION:
             raise DataError(f"unsupported checkpoint version {version}")
-        spec = ModelSpec.from_kv(ser.read_kv_block(fh))
+        try:
+            spec = ModelSpec.from_kv(ser.read_kv_block(fh))
+        except (ConfigError, ShapeError, ValueError) as exc:
+            raise DataError(f"checkpoint model spec is invalid: {exc}") from exc
+        plan = layer_plan(spec)
         n_layers = ser.read_u32(fh)
-        layers: dict[str, LayerWeights] = {}
-        for _ in range(n_layers):
-            name = ser.read_str(fh)
-            kind = ser.read_str(fh)
-            kernels = ser.read_f32_array(fh)
-            bias = ser.read_f32_array(fh)
-            layers[name] = LayerWeights(
-                kind, Tensor(kernels, requires_grad=True), Tensor(bias, requires_grad=True)
-            )
+        if n_layers != len(plan):
+            raise DataError(f"checkpoint holds {n_layers} layers, its model spec {len(plan)}")
+        ser.check_left(fh, 4 * parameter_count(plan), "checkpoint parameters")
+        params = ModelParameters(plan)
+        for name, kind, dims in plan:
+            lw = params.layers[name]
+            stored = ser.read_str(fh), ser.read_str(fh), ser.read_dims(fh)
+            if stored != (name, kind, dims):
+                raise DataError(f"checkpoint layer {stored}, model spec {(name, kind, dims)}")
+            ser.read_f32_into(fh, lw.kernels.data, f"{name} kernels")
+            if ser.read_dims(fh) != (dims[0],):
+                raise DataError(f"checkpoint layer {name}: bias dims differ from its kernels'")
+            ser.read_f32_into(fh, lw.bias.data, f"{name} bias")
         ser.expect_eof(fh, "checkpoint")
     finally:
         if owned:
             fh.close()
-
-    expected = layer_plan(spec)
-    if [name for name, _, _ in expected] != list(layers):
-        raise DataError("checkpoint layer names do not match the stored model spec")
-    for name, kind, dims in expected:
-        lw = layers[name]
-        if lw.kind != kind or lw.kernels.data.shape != dims:
-            raise DataError(
-                f"checkpoint layer {name}: stored {lw.kind}{lw.kernels.data.shape}, "
-                f"spec requires {kind}{dims}"
-            )
-    return spec, ModelParameters(layers)
+    return spec, params
 
 
 def checkpoint_bytes(spec: ModelSpec, params: ModelParameters) -> bytes:

@@ -104,13 +104,14 @@ def format_value(value) -> str:
 
 
 def load_config_file(path) -> dict[str, dict[str, str]]:
-    """Parse an INI config, rejecting anything outside the schema."""
-    parser = configparser.ConfigParser()
+    """Parse an INI config, rejecting anything outside the schema.  No
+    setting takes ``%``, so values are read as written, uninterpolated."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise ConfigError(f"cannot read config file {path}: {getattr(exc, 'strerror', exc)}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
 
@@ -176,7 +177,7 @@ def resolve_seed(flag_seed, file_cfg: dict[str, dict[str, str]], section: str,
 def write_resolved_config(path, sections: dict[str, dict]) -> None:
     """Self-documenting dump of every setting a run actually used, written
     atomically."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for name in sorted(sections):
         parser[name] = {}
         for key in sorted(sections[name]):

@@ -14,8 +14,8 @@ import numpy as np
 
 from .data import WaveformTensor
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .model import LayerWeights, ModelParameters, ModelSpec
-from .tensor import DTYPE, Tensor
+from .model import ModelParameters, ModelSpec
+from .tensor import DTYPE
 from .train import TrainConfig, dataset_loss, train
 from .util import parallel_map, seeded_rng, sha256_bytes, write_csv
 
@@ -95,19 +95,12 @@ class LandscapeGrid:
 def _offset_parameters(
     params: ModelParameters, gamma: Direction, nu: Direction, alpha: float, beta: float
 ) -> ModelParameters:
-    layers = {}
-    for name, lw in params.layers.items():
-        g = gamma.layers[name]
-        v = nu.layers[name]
+    shifted = params.clone()
+    for name, lw in shifted.layers.items():
         # fixed operand order; the two scaled terms commute bitwise, which
         # makes evaluate_grid(gamma, nu) the exact transpose of (nu, gamma)
-        shifted = lw.kernels.data + (alpha * g + beta * v)
-        layers[name] = LayerWeights(
-            lw.kind,
-            Tensor(shifted, requires_grad=False),
-            Tensor(lw.bias.data, requires_grad=False),
-        )
-    return ModelParameters(layers)
+        lw.kernels.data += alpha * gamma.layers[name] + beta * nu.layers[name]
+    return shifted
 
 
 def evaluate_grid(

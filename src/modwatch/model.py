@@ -15,6 +15,8 @@ always strictly positive by construction.
 """
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -110,71 +112,76 @@ def full_spec(mode: str = "cvae") -> ModelSpec:
 
 
 class ModelParameters:
-    """Ordered, named collection of LayerWeights for one model."""
+    """A model's weights as one float32 array ``flat`` in ``layer_plan``
+    order, each layer's kernels then its bias; every ``LayerWeights`` tensor
+    is a view into it.  New parameters are zero and trainable."""
 
-    def __init__(self, layers: dict[str, LayerWeights]):
-        self.layers = dict(layers)
+    def __init__(self, plan: list[tuple[str, str, tuple[int, ...]]]):
+        self.plan = list(plan)
+        self.flat = np.zeros(parameter_count(self.plan), dtype=DTYPE)
+        self.layers: dict[str, LayerWeights] = {}
+        lo = 0
+        for name, kind, dims in self.plan:
+            k = math.prod(dims)
+            kernels = self.flat[lo : lo + k].reshape(dims)
+            bias = self.flat[lo + k : lo + k + dims[0]]
+            lo += k + dims[0]
+            self.layers[name] = LayerWeights(
+                kind, Tensor(kernels, requires_grad=True), Tensor(bias, requires_grad=True)
+            )
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for name, lw in self.layers.items():
-            out.append((f"{name}.kernels", lw.kernels))
-            out.append((f"{name}.bias", lw.bias))
-        return out
-
-    def zero_grads(self) -> None:
-        for _, t in self.named_tensors():
-            t.grad = None
+        return [(f"{name}.{part}", getattr(lw, part))
+                for name, lw in self.layers.items() for part in ("kernels", "bias")]
 
     def count(self) -> int:
-        return sum(t.data.size for _, t in self.named_tensors())
+        return self.flat.size
+
+    def take_grads(self, out: np.ndarray) -> np.ndarray:
+        """Every tensor's gradient gathered into ``out`` in ``flat``'s layout
+        (zeros where no op reached it), then dropped from the tensor."""
+        parts = []
+        for _, t in self.named_tensors():
+            parts.append(np.zeros(t.data.size, DTYPE) if t.grad is None else t.grad.reshape(-1))
+            t.grad = None
+        return np.concatenate(parts, out=out)
 
     def frozen(self) -> "ModelParameters":
-        """The same arrays as constants: a forward pass through them records
+        """The same views as constants: a forward pass through them records
         no operation tape and keeps no intermediate alive for a backward."""
-        return ModelParameters({
+        out = copy.copy(self)  # the same plan and flat
+        out.layers = {
             name: LayerWeights(lw.kind, Tensor(lw.kernels.data), Tensor(lw.bias.data))
             for name, lw in self.layers.items()
-        })
+        }
+        return out
 
     def copy_from(self, other: "ModelParameters") -> None:
-        """Overwrite these arrays with ``other``'s values in place, with no
-        new allocation; names and dims must match."""
-        mine, theirs = self.named_tensors(), other.named_tensors()
-        if [(n, t.data.shape) for n, t in mine] != [(n, t.data.shape) for n, t in theirs]:
-            raise ShapeError("copy_from: parameter names or dims differ")
-        for (_, dst), (_, src) in zip(mine, theirs):
-            np.copyto(dst.data, src.data)
+        """Overwrite ``flat`` with ``other``'s values in place, with no new
+        allocation; the layer plans must match."""
+        if self.plan != other.plan:
+            raise ShapeError("copy_from: layer names, kinds or dims differ")
+        np.copyto(self.flat, other.flat)
 
     def clone(self) -> "ModelParameters":
-        layers = {}
-        for name, lw in self.layers.items():
-            rq = lw.kernels.requires_grad
-            layers[name] = LayerWeights(
-                lw.kind,
-                Tensor(lw.kernels.data.copy(), requires_grad=rq),
-                Tensor(lw.bias.data.copy(), requires_grad=rq),
-            )
-        return ModelParameters(layers)
+        out = ModelParameters(self.plan)
+        np.copyto(out.flat, self.flat)
+        return out
 
 
 # float64 draws per chunk of a layer's initialisation: 256 KiB
 INIT_CHUNK = 32768
 
 
-def _uniform_layer(rng: np.random.Generator, kind: str, dims: tuple[int, ...]) -> LayerWeights:
-    # fan-in scaled uniform: U(-1/sqrt(fan_in), 1/sqrt(fan_in)); zero bias.
-    # Drawn in chunks into the float32 kernels: the same stream as one draw,
-    # without a float64 copy of the layer.
-    fan_in = int(np.prod(dims[1:]))
-    bound = 1.0 / np.sqrt(fan_in)
-    kernels = np.empty(dims, dtype=DTYPE)
-    flat = kernels.reshape(-1)
-    for lo in range(0, flat.size, INIT_CHUNK):
-        part = flat[lo : lo + INIT_CHUNK]
+def _uniform_kernels(rng: np.random.Generator, kernels: np.ndarray) -> None:
+    # fan-in scaled uniform: U(-1/sqrt(fan_in), 1/sqrt(fan_in)), drawn in
+    # chunks into the float32 kernels: the same stream as one draw, without
+    # a float64 copy of the layer
+    bound = 1.0 / np.sqrt(int(np.prod(kernels.shape[1:])))
+    values = kernels.reshape(-1)
+    for lo in range(0, values.size, INIT_CHUNK):
+        part = values[lo : lo + INIT_CHUNK]
         part[...] = rng.uniform(-bound, bound, size=part.size)
-    bias = np.zeros(dims[0], dtype=DTYPE)
-    return LayerWeights(kind, Tensor(kernels, requires_grad=True), Tensor(bias, requires_grad=True))
 
 
 def layer_plan(spec: ModelSpec) -> list[tuple[str, str, tuple[int, ...]]]:
@@ -198,11 +205,17 @@ def layer_plan(spec: ModelSpec) -> list[tuple[str, str, tuple[int, ...]]]:
     return plan
 
 
+def parameter_count(plan: list[tuple[str, str, tuple[int, ...]]]) -> int:
+    return sum(math.prod(dims) + dims[0] for _, _, dims in plan)
+
+
 def init_parameters(spec: ModelSpec, seed: int) -> ModelParameters:
     spec.validate()
     rng = seeded_rng(seed, 0xA11C)
-    layers = {name: _uniform_layer(rng, kind, dims) for name, kind, dims in layer_plan(spec)}
-    return ModelParameters(layers)
+    params = ModelParameters(layer_plan(spec))
+    for lw in params.layers.values():
+        _uniform_kernels(rng, lw.kernels.data)
+    return params
 
 
 def one_hot(module_ids: np.ndarray, module_count: int) -> np.ndarray:

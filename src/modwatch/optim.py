@@ -1,9 +1,9 @@
-"""Adam optimiser over named parameter tensors (Kingma & Ba 2015).
+"""Adam optimiser over one flat parameter array (Kingma & Ba 2015).
 
 The update runs in place: the moments and the parameters are overwritten,
-and every parameter is walked in blocks of ``CHUNK`` values through two
-work buffers, so all of one block's arithmetic stays in the core's cache
-and no step allocates a temporary the size of a tensor.
+and the array is walked in blocks of ``CHUNK`` values through two work
+buffers, so all of one block's arithmetic stays in the core's cache and no
+step allocates a temporary the size of the model.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .tensor import DTYPE, Tensor
+from .tensor import DTYPE
 
 # float32 values per block: 128 KiB per operand, so the block, its moments,
 # its gradient and both work buffers fit in L2 together
@@ -21,38 +21,45 @@ CHUNK = 32768
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators keyed by parameter name.
+    """First/second moment accumulators for ``size`` parameters, zero until
+    the first step.  ``work`` holds the two block-sized buffers every step
+    computes through."""
 
-    Moments are created lazily on the first step and always mirror the
-    parameter dims exactly.  ``work`` holds the two block-sized buffers
-    every step computes through.
-    """
-
+    size: int
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray = field(init=False, repr=False, compare=False)
+    v: np.ndarray = field(init=False, repr=False, compare=False)
     work: np.ndarray = field(
         default_factory=lambda: np.empty((2, CHUNK), DTYPE), repr=False, compare=False
     )
 
+    def __post_init__(self):
+        self.m = np.zeros(self.size, DTYPE)
+        self.v = np.zeros(self.size, DTYPE)
 
-def adam_step(named_params: list[tuple[str, Tensor]], state: AdamState) -> None:
-    """Apply one bias-corrected Adam update in place.
 
-    Parameters with ``grad is None`` (never touched by the recorded ops)
-    receive an exact zero gradient.  Non-finite gradients raise rather
-    than silently corrupting the moments: each tensor is checked whole
-    before any of its values changes.
+def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState) -> None:
+    """Apply one bias-corrected Adam update to the contiguous array ``p`` in
+    place, with gradient ``g`` of the same dims.  A non-finite gradient
+    raises before any value changes, rather than corrupting the moments.
 
     Every element goes through the float32 operations of the textbook
     formula in its order, ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
     ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)``, so the results are the bits
     of the unblocked expression.
     """
+    if g.shape != p.shape or p.size != state.size:
+        raise ShapeError(f"adam: gradient dims {g.shape}, parameter dims {p.shape}, "
+                         f"{state.size} moments")
+    if not p.flags.c_contiguous:
+        raise ShapeError("adam: parameters not contiguous, so they cannot be updated in place")
+    # NaN propagates through min and max, so the two extremes settle it
+    if g.size and not (np.isfinite(g.min()) and np.isfinite(g.max())):
+        raise NumericError("adam: non-finite gradient")
     state.step += 1
     t = state.step
     b1, b2 = DTYPE(state.beta1), DTYPE(state.beta2)
@@ -62,38 +69,23 @@ def adam_step(named_params: list[tuple[str, Tensor]], state: AdamState) -> None:
     c1 = DTYPE(1.0 - state.beta1**t)
     c2 = DTYPE(1.0 - state.beta2**t)
     work_a, work_b = state.work
-    for name, p in named_params:
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise ShapeError(f"adam: gradient dims {g.shape} vs parameter dims {p.data.shape} for {name}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"adam: non-finite gradient for {name}")
-        if not p.data.flags.c_contiguous:
-            raise ShapeError(f"adam: parameter {name} is not contiguous, so it cannot be updated in place")
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p.data)
-        v = state.v.get(name)
-        if v is None:
-            v = state.v[name] = np.zeros_like(p.data)
-        # views of the contiguous arrays: writes through them land in place
-        flat_p, flat_m, flat_v = p.data.reshape(-1), m.reshape(-1), v.reshape(-1)
-        flat_g = g.reshape(-1)
-        for lo in range(0, flat_p.size, CHUNK):
-            pc, mc, vc = flat_p[lo : lo + CHUNK], flat_m[lo : lo + CHUNK], flat_v[lo : lo + CHUNK]
-            gc = flat_g[lo : lo + CHUNK]
-            a, b = work_a[: pc.size], work_b[: pc.size]
-            mc *= b1
-            np.multiply(one_b1, gc, out=a)
-            mc += a
-            vc *= b2
-            np.multiply(gc, gc, out=a)
-            np.multiply(one_b2, a, out=a)
-            vc += a
-            np.divide(mc, c1, out=a)  # m_hat
-            np.multiply(lr, a, out=a)
-            np.divide(vc, c2, out=b)  # v_hat
-            np.sqrt(b, out=b)
-            b += eps
-            a /= b
-            pc -= a
+    # views of the contiguous arrays: writes through them land in place
+    flat_p, flat_g = p.reshape(-1), g.reshape(-1)
+    for lo in range(0, flat_p.size, CHUNK):
+        pc, mc, vc = flat_p[lo : lo + CHUNK], state.m[lo : lo + CHUNK], state.v[lo : lo + CHUNK]
+        gc = flat_g[lo : lo + CHUNK]
+        a, b = work_a[: pc.size], work_b[: pc.size]
+        mc *= b1
+        np.multiply(one_b1, gc, out=a)
+        mc += a
+        vc *= b2
+        np.multiply(gc, gc, out=a)
+        np.multiply(one_b2, a, out=a)
+        vc += a
+        np.divide(mc, c1, out=a)  # m_hat
+        np.multiply(lr, a, out=a)
+        np.divide(vc, c2, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        pc -= a

@@ -51,7 +51,7 @@ def write_str(fh, text: str) -> None:
     fh.write(payload)
 
 
-def _check_left(fh, nbytes: int, what: str) -> None:
+def check_left(fh, nbytes: int, what: str) -> None:
     """``DataError`` unless the seekable ``fh`` still holds ``nbytes`` (an
     exact Python int); the position is left where it was."""
     pos = fh.tell()
@@ -64,7 +64,7 @@ def _check_left(fh, nbytes: int, what: str) -> None:
 def read_exact(fh, nbytes: int, what: str) -> bytes:
     """Read ``nbytes`` from a seekable file, after checking that the file
     still holds that many."""
-    _check_left(fh, nbytes, what)
+    check_left(fh, nbytes, what)
     return fh.read(nbytes)
 
 
@@ -96,26 +96,34 @@ def write_f32_array(fh, arr: np.ndarray) -> None:
     fh.write(arr)  # its buffer, not a copy
 
 
+def read_dims(fh) -> tuple[int, ...]:
+    """The dims ``write_f32_array`` writes before its payload."""
+    ndim = read_u32(fh)
+    check_left(fh, 8 * ndim, "array dims")
+    return tuple(read_u64(fh) for _ in range(ndim))
+
+
+def read_f32_into(fh, out: np.ndarray, what: str) -> None:
+    """Fill the contiguous float32 array ``out`` from the file in place."""
+    got = fh.readinto(memoryview(out).cast("B"))
+    if got != out.nbytes:
+        raise DataError(f"truncated file: {what} needs {out.nbytes} bytes, read {got}")
+    if out.dtype != F32:  # a big-endian host
+        out.byteswap(inplace=True)
+
+
 def read_f32(fh, dims: tuple[int, ...], what: str) -> np.ndarray:
     """A row-major float32 payload of ``dims``, sized with ``math.prod`` so
     a product of corrupt dims never wraps.  The file is read straight into
     the array, so the payload is held once."""
     count = math.prod(dims)
-    _check_left(fh, 4 * count, what)
+    check_left(fh, 4 * count, what)
     flat = np.empty(count, dtype=F32)
-    got = fh.readinto(memoryview(flat).cast("B"))
-    if got != flat.nbytes:
-        raise DataError(f"truncated file: {what} needs {flat.nbytes} bytes, read {got}")
+    read_f32_into(fh, flat, what)
     try:
         return flat.reshape(dims)
     except ValueError as exc:  # a zero dim beside dims numpy cannot hold
         raise DataError(f"{what}: dims {dims} cannot be held in memory") from exc
-
-
-def read_f32_array(fh) -> np.ndarray:
-    ndim = read_u32(fh)
-    dims = tuple(read_u64(fh) for _ in range(ndim))
-    return read_f32(fh, dims, "float payload")
 
 
 def check_magic(fh, magic: bytes, kind: str) -> None:
@@ -134,9 +142,13 @@ def _is_path(path_or_fh) -> bool:
 
 
 def open_maybe(path_or_fh, mode: str):
-    if _is_path(path_or_fh):
+    """``(file, owned)``; a path that cannot be opened is a ``DataError``."""
+    if not _is_path(path_or_fh):
+        return path_or_fh, False
+    try:
         return open(path_or_fh, mode), True
-    return path_or_fh, False
+    except OSError as exc:
+        raise DataError(f"cannot open {path_or_fh}: {exc.strerror or exc}") from exc
 
 
 @contextmanager

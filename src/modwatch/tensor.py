@@ -78,10 +78,12 @@ class Function:
 
 
 def backward(loss: Tensor) -> None:
-    """Propagate d(loss)/d(tensor) to every recorded tensor's ``grad``.
+    """Propagate d(loss)/d(tensor) to the ``grad`` of every leaf tensor
+    (one no recorded op produced) that needs it.
 
     Gradients accumulate additively when a tensor feeds several ops.  The
-    record is released as it is walked, so a second call raises.
+    record and the intermediate gradients are released as they are walked,
+    so a second call raises.
     """
     if loss.data.size != 1:
         raise NumericError(f"backward requires a scalar loss, got dims {loss.dims}")
@@ -121,9 +123,9 @@ def backward(loss: Tensor) -> None:
             if parent.requires_grad or parent._ctx is not None:
                 g = np.asarray(g, dtype=DTYPE)
                 parent.grad = g if parent.grad is None else parent.grad + g
+        # spent: free the intermediate's gradient now, not when the walk ends
         node._ctx = None
-        if not node.requires_grad:
-            node.grad = None
+        node.grad = None
     loss._consumed = True
 
 
@@ -410,24 +412,12 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: str = "sam
 @dataclass
 class LayerWeights:
     """One learnable layer: kind is 'conv1d' (kernels (out, in, width)) or
-    'dense' (kernels (out, in)).  Bias always has dims (out,)."""
+    'dense' (kernels (out, in)).  Bias always has dims (out,).  Layers are
+    cut from a ``model.layer_plan``, whose spec has already checked them."""
 
     kind: str
     kernels: Tensor
     bias: Tensor
-
-    def __post_init__(self):
-        if self.kind not in ("conv1d", "dense"):
-            raise ShapeError(f"unknown layer kind {self.kind!r}")
-        want = 3 if self.kind == "conv1d" else 2
-        if self.kernels.data.ndim != want:
-            raise ShapeError(f"{self.kind} kernels need {want} axes, got dims {self.kernels.dims}")
-        if self.kind == "conv1d":
-            width = self.kernels.dims[2]
-            if width < 1 or width % 2 == 0:
-                raise ShapeError(f"conv1d kernel width must be odd and >= 1, got {width}")
-        if self.bias.dims != (self.kernels.dims[0],):
-            raise ShapeError(f"bias dims {self.bias.dims} vs fan-out {self.kernels.dims[0]}")
 
     def apply_to(self, x: Tensor, activation: bool = True) -> Tensor:
         out = (

@@ -162,7 +162,8 @@ def train(
     t0 = time.monotonic()
     params = M.init_parameters(spec, config.seed)
     best_params = params.clone()  # overwritten in place at each improving epoch
-    adam = AdamState(learning_rate=config.learning_rate)
+    adam = AdamState(params.count(), learning_rate=config.learning_rate)
+    grad = np.empty_like(params.flat)
     log = TrainLog()
     best_val = float("inf")
     n = train_set.n_samples
@@ -186,10 +187,9 @@ def train(
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}, batch starting {start}"
                     ) from exc
-                params.zero_grads()
                 try:
                     backward(tensors.total)
-                    adam_step(params.named_tensors(), adam)
+                    adam_step(params.flat, params.take_grads(grad), adam)
                 except NumericError as exc:
                     raise TrainingDiverged(
                         f"non-finite gradient at epoch {epoch}, batch starting {start}"

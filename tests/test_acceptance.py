@@ -292,7 +292,6 @@ def test_criterion_01_gradient_correctness():
         eps32 = rng.standard_normal((2, spec.latent_dim)).astype(np.float32)
         eta = 0.7
         tensors = M.loss_forward(params, spec, Tensor(x32), ids, eta=eta, epsilon=eps32)
-        params.zero_grads()
         backward(tensors.total)
 
         weights = {

@@ -461,6 +461,67 @@ def test_exit_code_corrupt_checkpoint(workspace, tmp_path, capsys, name, first_a
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _checkpoint_with(workspace, kv_edit=None, first_kind=None) -> bytes:
+    """The workspace checkpoint rewritten with spec values replaced and,
+    optionally, its first layer's kind."""
+    spec, params = load_checkpoint(workspace / "cvae" / "checkpoint.mwck")
+    buf = io.BytesIO()
+    buf.write(MAGIC)
+    ser.write_u32(buf, VERSION)
+    ser.write_kv_block(buf, {**spec.to_kv(), **(kv_edit or {})})
+    ser.write_u32(buf, len(params.layers))
+    for i, (name, lw) in enumerate(params.layers.items()):
+        ser.write_str(buf, name)
+        ser.write_str(buf, first_kind if first_kind and i == 0 else lw.kind)
+        ser.write_f32_array(buf, lw.kernels.data)
+        ser.write_f32_array(buf, lw.bias.data)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("kv_edit, first_kind", [
+    ({"latent_dim": "x2"}, None),
+    ({"mode": "cvaf"}, None),
+    ({"latent_dim": "0"}, None),
+    (None, "conv1e"),
+], ids=["spec-not-an-int", "spec-bad-mode", "spec-zero-dim", "layer-kind"])
+def test_exit_code_corrupt_checkpoint_spec(workspace, tmp_path, capsys, kv_edit, first_kind):
+    # a checkpoint is a file: whatever is wrong inside it is exit 4
+    bad = tmp_path / "bad.mwck"
+    bad.write_bytes(_checkpoint_with(workspace, kv_edit, first_kind))
+    assert run("landscape", "--data", str(workspace / "data" / "dataset.mwts"),
+               "--model", str(bad), "--stats", str(workspace / "cvae" / "stats.csv"),
+               "--res", "1", "--out", str(tmp_path / "o")) == 4
+    assert capsys.readouterr().err.startswith("error: checkpoint")
+
+
+@pytest.mark.parametrize("text", [
+    b"[generate]\nnoise_sd = 5%\n",
+    b"[generate]\nmodules = %(x)s\n",
+    b"[generate]\nmodules = 2\n# \xff\n",
+], ids=["percent", "interpolation", "not-utf8"])
+def test_exit_code_unreadable_config(tmp_path, capsys, text):
+    cfg = tmp_path / "odd.ini"
+    cfg.write_bytes(text)
+    assert run("generate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_exit_code_config_is_a_directory(tmp_path, capsys):
+    assert run("generate", "--config", str(tmp_path), "--out", str(tmp_path / "o")) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_exit_code_data_or_checkpoint_is_a_directory(workspace, tmp_path, capsys):
+    assert run("train", "--data", str(tmp_path), "--out", str(tmp_path / "o")) == 4
+    assert "cannot open" in capsys.readouterr().err
+    (tmp_path / "model" / "checkpoint.mwck").mkdir(parents=True)
+    assert run("eval", "--data", str(workspace / "data" / "dataset.mwts"),
+               "--multi", str(tmp_path / "model"),
+               "--stats", str(workspace / "cvae" / "stats.csv"),
+               "--out", str(tmp_path / "o")) == 4
+    assert "cannot open" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, model_flag", [("eval", "--multi"), ("landscape", "--model")])
 def test_missing_checkpoint_leaves_no_out_dir(workspace, tmp_path, capsys, command, model_flag):
     out = tmp_path / "never"

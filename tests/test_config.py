@@ -1,11 +1,16 @@
-"""The settings table: the README documents every key, in order, and every
-built-in default survives the trip through ``resolved.ini``."""
+"""The settings table: the README documents every key, in order, every
+built-in default survives the trip through ``resolved.ini``, and any INI
+text is read or refused as a ``ConfigError``."""
 from __future__ import annotations
 
 import pathlib
 import re
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from modwatch import config as C
+from modwatch.errors import ConfigError
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -36,3 +41,35 @@ def test_every_default_round_trips_through_its_parser():
             text = C.format_value(default)
             value = C.parse_value(section, key, text)
             assert value == default and type(value) is type(default), (section, key, text)
+
+
+def test_resolved_config_holds_a_percent_as_written(tmp_path):
+    # no setting interpolates, so a value is written and read back verbatim
+    path = tmp_path / "resolved.ini"
+    C.write_resolved_config(path, {"eval": {"mode": "50%(x)s %"}})
+    assert C.load_config_file(path) == {"eval": {"mode": "50%(x)s %"}}
+
+
+# pieces that reach every branch of the reader: real sections and keys,
+# headers, separators, interpolation syntax, comments and odd bytes
+_SECTIONS = st.sampled_from([*C.SETTINGS, "DEFAULT", "nope", ""])
+_KEYS = st.sampled_from([k for keys in C.SETTINGS.values() for k in keys] + ["typo", ""])
+_TEXT = st.text(st.sampled_from("0123456789.,-+eE%()s[]=:;# \tnaif\r\xe9"), max_size=12)
+_LINE = st.one_of(
+    st.builds(lambda s: f"[{s}]", _SECTIONS),
+    st.builds(lambda k, sep, v: f"{k}{sep}{v}", _KEYS, st.sampled_from([" = ", ":", "="]), _TEXT),
+    _TEXT,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(_LINE, max_size=8), tail=st.binary(max_size=3))
+def test_random_ini_is_read_or_refused_with_exit_2(tmp_path_factory, lines, tail):
+    path = tmp_path_factory.mktemp("ini") / "fuzz.ini"
+    path.write_bytes("\n".join(lines).encode("utf-8") + tail)
+    try:
+        loaded = C.load_config_file(path)
+        for section in loaded:
+            C.resolve_section(loaded, section)
+    except ConfigError:  # cli.EXIT_CODES: 2
+        pass

@@ -453,7 +453,8 @@ class TestClaimedSizes:
     ], ids=["wrapping", "overflowing", "zero-by-huge", "short"])
     def test_float_array_dims(self, header):
         with pytest.raises(DataError):
-            ser.read_f32_array(io.BytesIO(header + bytes(40)))
+            fh = io.BytesIO(header + bytes(40))
+            ser.read_f32(fh, ser.read_dims(fh), "float payload")
 
     def test_short_read_of_a_payload_raises(self):
         # the file shrinks between the size check and the read
@@ -463,7 +464,7 @@ class TestClaimedSizes:
 
         fh = ShortReads(struct.pack("<IQ", 1, 10) + bytes(40))
         with pytest.raises(DataError, match="needs 40 bytes, read 36"):
-            ser.read_f32_array(fh)
+            ser.read_f32(fh, ser.read_dims(fh), "float payload")
 
     def test_string_must_be_utf8(self):
         with pytest.raises(DataError, match="UTF-8"):

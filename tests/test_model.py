@@ -93,7 +93,8 @@ class TestInitialization:
         dims = (5, 3, M.INIT_CHUNK // 7)
         bound = 1.0 / np.sqrt(dims[1] * dims[2])
         want = np.random.default_rng(9).uniform(-bound, bound, size=dims).astype(np.float32)
-        got = M._uniform_layer(np.random.default_rng(9), "conv1d", dims).kernels.data
+        got = np.empty(dims, np.float32)
+        M._uniform_kernels(np.random.default_rng(9), got)
         assert got.tobytes() == want.tobytes()
 
     def test_init_holds_no_float64_copy_of_a_layer(self):
@@ -401,6 +402,101 @@ class TestCheckpoints:
         path.write_bytes(blob + b"x")
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+
+    def test_spec_claiming_more_than_the_file_holds_allocates_nothing(self, tmp_path):
+        # a desk-sized spec over 90% of its payload: the size check comes
+        # before the 4 MiB parameter buffer would be allocated
+        spec = M.desk_spec()
+        blob = checkpoint_bytes(spec, M.init_parameters(spec, seed=0))
+        path = tmp_path / "short.mwck"
+        path.write_bytes(blob[: len(blob) * 9 // 10])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="truncated file: checkpoint parameters"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 10, f"peaked at {peak / 2**20:.2f} MiB"
+
+    def test_load_reads_into_one_buffer(self):
+        spec = tiny_spec("cvae")
+        params = M.init_parameters(spec, seed=23)
+        _, loaded = load_checkpoint(io.BytesIO(checkpoint_bytes(spec, params)))
+        assert loaded.plan == M.layer_plan(spec)
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+        assert all(np.shares_memory(t.data, loaded.flat) for _, t in loaded.named_tensors())
+
+
+class TestParameterBuffer:
+    """Every kernel and bias is a view into one float32 array, ``flat``."""
+
+    def test_tensors_are_views_in_plan_order(self):
+        params = M.init_parameters(tiny_spec(), seed=0)
+        flat = params.flat
+        assert flat.dtype == np.float32 and flat.ndim == 1 and flat.flags.c_contiguous
+        assert params.count() == flat.size == M.parameter_count(M.layer_plan(tiny_spec()))
+        names = [f"{name}.{part}" for name, _, _ in params.plan for part in ("kernels", "bias")]
+        assert [name for name, _ in params.named_tensors()] == names
+        base, lo = flat.__array_interface__["data"][0], 0
+        for _, t in params.named_tensors():
+            assert np.shares_memory(t.data, flat)
+            assert t.data.__array_interface__["data"][0] == base + 4 * lo
+            lo += t.data.size
+        assert lo == flat.size
+
+    def test_copy_from_between_plans_raises(self):
+        params = M.init_parameters(tiny_spec("cvae"), seed=0)
+        for other in (tiny_spec("vae"), tiny_spec().with_depth(3)):
+            with pytest.raises(ShapeError):
+                params.copy_from(M.init_parameters(other, seed=0))
+
+    def test_clone_and_frozen(self):
+        params = M.init_parameters(tiny_spec(), seed=1)
+        frozen = params.frozen()
+        assert frozen.flat is params.flat
+        assert all(np.shares_memory(t.data, params.flat) for _, t in frozen.named_tensors())
+        clone = params.clone()
+        assert clone.flat.tobytes() == params.flat.tobytes()
+        assert not np.shares_memory(clone.flat, params.flat)
+        assert all(np.shares_memory(t.data, clone.flat) for _, t in clone.named_tensors())
+
+    def test_take_grads_gathers_and_drops(self):
+        params = M.init_parameters(tiny_spec(), seed=2)
+        named = params.named_tensors()
+        for i, (_, t) in enumerate(named):
+            if i != 3:  # one tensor no op reached
+                t.grad = np.full(t.data.shape, i, np.float32)
+        grad = params.take_grads(np.empty_like(params.flat))
+        want = np.concatenate([np.full(t.data.size, 0 if i == 3 else i, np.float32)
+                               for i, (_, t) in enumerate(named)])
+        assert grad.tobytes() == want.tobytes()
+        assert all(t.grad is None for _, t in named)
+
+
+class TestBackwardReleasesSpentGradients:
+    def test_peak_and_what_stays(self):
+        # desk CVAE at batch 16: the walk holds the parameter gradients it
+        # builds, plus a frontier of activation-sized ones, not every one
+        spec = M.desk_spec()
+        params = M.init_parameters(spec, seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((16, spec.time_steps, spec.channels)).astype(np.float32)
+        eps = rng.standard_normal((16, spec.latent_dim)).astype(np.float32)
+        tensors = M.loss_forward(params, spec, Tensor(x), np.arange(16) % spec.module_count,
+                                 epsilon=eps)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            T.backward(tensors.total)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        grad_bytes = 4 * params.count()
+        assert peak <= grad_bytes + (3 << 20), f"walk peaked at {peak / 2**20:.2f} MiB"
+        assert tensors.reconstruction.grad is None and tensors.total.grad is None
+        assert all(t.grad is not None for _, t in params.named_tensors())
 
 
 class TestOneHot:
