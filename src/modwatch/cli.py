@@ -62,31 +62,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("generate", help="render a synthetic waveform dataset")
-    _common_flags(p)
-    p.add_argument("--modules", type=int, help="number of modules")
-    p.add_argument("--samples-per-module", type=str,
-                   help="normal samples per module (int or comma list)")
-    p.add_argument("--time-steps", type=int)
-    p.add_argument("--faults", type=int, help="total abnormal samples")
-    p.set_defaults(func=cmd_generate)
+    _subcommand(sub, "generate", cmd_generate, "render a synthetic waveform dataset")
 
-    p = sub.add_parser("train", help="train a model on a dataset file")
-    _common_flags(p)
+    p = _subcommand(sub, "train", cmd_train, "train a model on a dataset file")
     p.add_argument("--data", required=True, help="dataset file (.mwts)")
     p.add_argument("--mode", choices=("vae", "cvae"), default="cvae")
     p.add_argument("--module", default=None,
                    help="vae mode: module id to train, or 'all'")
-    p.add_argument("--preset", choices=("desk", "full"), default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--learning-rate", type=C.finite_float, default=None)
-    p.add_argument("--eta", type=C.finite_float, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="score a dataset and write metric CSVs")
-    _common_flags(p)
+    p = _subcommand(sub, "eval", cmd_eval, "score a dataset and write metric CSVs")
     p.add_argument("--data", required=True)
     p.add_argument("--multi", default=None,
                    help="multi-module checkpoint (file or training out dir)")
@@ -94,60 +78,72 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory holding vae_module_<id>/checkpoint.mwck")
     p.add_argument("--stats", default=None,
                    help="channel stats CSV (default: alongside the model)")
-    p.add_argument("--fpr-budget", type=C.finite_float, default=None)
-    p.add_argument("--mode", choices=("deterministic", "sampled"), default=None)
-    p.add_argument("--n-draws", type=int, default=None)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("landscape", help="loss-surface grids and convexity report")
-    _common_flags(p)
+    p = _subcommand(sub, "landscape", cmd_landscape, "loss-surface grids and convexity report")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True, help="checkpoint (file or out dir)")
     p.add_argument("--stats", default=None)
-    p.add_argument("--res", type=int, default=None)
-    p.add_argument("--range", dest="span", type=C.finite_float, default=None)
     p.add_argument("--depth-sweep", action="store_true",
                    help="retrain at several conv depths and map each surface")
-    p.set_defaults(func=cmd_landscape)
 
-    p = sub.add_parser("uq", help="latent-sampling replicas and calibration")
-    _common_flags(p)
+    p = _subcommand(sub, "uq", cmd_uq, "latent-sampling replicas and calibration")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--stats", default=None)
-    p.add_argument("--n-draws", type=int, default=None)
-    p.add_argument("--examples", type=int, default=None)
-    p.set_defaults(func=cmd_uq)
 
-    p = sub.add_parser("reproduce", help="run a packaged experiment bundle")
-    _common_flags(p)
+    p = _subcommand(sub, "reproduce", cmd_reproduce, "run a packaged experiment bundle")
     p.add_argument("--experiment", choices=("detection", "depth", "calibration", "all"),
                    default="all")
     p.add_argument("--scale", choices=("desk", "full"), default="desk")
     p.add_argument("--force", action="store_true",
                    help="allow --scale full (about 42 min per epoch, up to 9 days, "
                         ">= 11 GiB)")
-    p.set_defaults(func=cmd_reproduce)
     return parser
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
+def _subcommand(sub, name: str, func, help_text: str) -> argparse.ArgumentParser:
+    """Subcommand ``name`` with --config, --out and one flag per setting in
+    ``config.FLAGS[name]``, parsed as a config file's value would be."""
+    p = sub.add_parser(name, help=help_text)
+    p.set_defaults(func=func)
     p.add_argument("--config", default=None, help="INI config file")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker threads for per-module training, landscape cells "
-                        "and eval scoring; uq ignores it")
+    for setting in C.FLAGS[name]:
+        section, key = setting.split(".")
+        p.add_argument(C.FLAG_NAMES.get(setting, "--" + key.replace("_", "-")), dest=setting,
+                       type=_flag_type(section, key), choices=C.CHOICES.get(setting))
+    return p
+
+
+def _flag_type(section: str, key: str):
+    def parse(raw: str):
+        try:
+            return C.parse_value(section, key, raw)
+        except ConfigError as exc:  # a usage error, as a bad int is
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    parse.__name__ = type(C.SETTINGS[section][key]).__name__  # named in argparse's errors
+    return parse
 
 
 def _file_cfg(args) -> dict:
     return C.load_config_file(args.config) if args.config else {}
 
 
+def _settings(args, file_cfg, section: str, defaults=None) -> dict:
+    """``[section]`` as this run uses it: flag > config key > MODWATCH_SEED
+    (only for the seed the subcommand's --seed sets) > ``defaults`` (the
+    built-in ones unless given)."""
+    flags = {key: getattr(args, f"{section}.{key}", None) for key in C.SETTINGS[section]}
+    resolved = C.resolve_section(file_cfg, section, defaults, flags)
+    if (f"{section}.seed" in C.FLAGS[args.command] and flags["seed"] is None
+            and "seed" not in file_cfg.get(section, {})):
+        resolved["seed"] = C.env_seed(resolved["seed"])
+    return resolved
+
+
 def _jobs(args, file_cfg) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    return max(1, C.resolve_section(file_cfg, "general")["jobs"])
+    return max(1, _settings(args, file_cfg, "general")["jobs"])
 
 
 def _outdir(args) -> str:
@@ -172,15 +168,15 @@ def _find_checkpoint(path) -> str:
     return path
 
 
-def _find_stats(stats_flag, model_path) -> D.ChannelStats:
+def _find_stats(stats_flag, model_path, wt: D.WaveformTensor) -> D.ChannelStats:
+    """The channel statistics at ``stats_flag``, else beside the model, for
+    ``wt``'s channels in order."""
     if stats_flag is None:
         base = model_path if os.path.isdir(model_path) else os.path.dirname(model_path)
         stats_flag = os.path.join(base, "stats.csv")
     if not os.path.exists(stats_flag):
-        raise ConfigError(
-            f"channel stats file not found: {stats_flag} (pass --stats explicitly)"
-        )
-    return D.ChannelStats.load_csv(stats_flag)
+        raise DataError(f"channel stats file not found: {stats_flag} (pass --stats explicitly)")
+    return D.ChannelStats.load_csv(stats_flag, wt.channel_names)
 
 
 class _Splits:
@@ -188,8 +184,8 @@ class _Splits:
     on first read, so a command pays only for the parts it uses; without
     given ``stats`` they are fitted on the train part."""
 
-    def __init__(self, wt: D.WaveformTensor, file_cfg: dict, stats=None):
-        self.config = C.resolve_section(file_cfg, "split")
+    def __init__(self, wt: D.WaveformTensor, config: dict, stats=None):
+        self.config = config
         self.names = list(wt.channel_names)
         fractions = tuple(self.config[f"{part}_fraction"] for part in ("train", "val", "test"))
         self._parts = D.split(wt, fractions=fractions, seed=self.config["seed"])
@@ -218,11 +214,10 @@ class _Splits:
         return getattr(self, attr)
 
 
-def _model_spec(file_cfg, wt: D.WaveformTensor, mode: str, defaults=None,
-                preset=None) -> M.ModelSpec:
+def _model_spec(args, file_cfg, wt: D.WaveformTensor, mode: str, defaults=None) -> M.ModelSpec:
     """Architecture from preset + config; dims and module count follow the
     data unless the config pins them."""
-    section = C.resolve_section(file_cfg, "model", defaults or {}, {"preset": preset})
+    section = _settings(args, file_cfg, "model", defaults or {})
     preset = section.pop("preset", None) or C.SETTINGS["model"]["preset"]
     if preset == "desk":
         base = M.desk_spec()
@@ -240,12 +235,6 @@ def _model_spec(file_cfg, wt: D.WaveformTensor, mode: str, defaults=None,
     return dataclasses.replace(base, **fields).validate()
 
 
-def _train_config(file_cfg, seed, defaults=None, **overrides) -> TrainConfig:
-    resolved = C.resolve_section(file_cfg, "train", defaults, overrides)
-    resolved["seed"] = C.resolve_seed(seed, file_cfg, "train", default=resolved["seed"])
-    return TrainConfig(**resolved).validate()
-
-
 def _write_resolved(out, sections: dict) -> None:
     C.write_resolved_config(os.path.join(out, "resolved.ini"), sections)
 
@@ -256,11 +245,9 @@ def _write_resolved(out, sections: dict) -> None:
 # matching ``reproduce`` experiment.
 
 
-def _generate_stage(out, file_cfg, seed, defaults=None, overrides=None):
-    """Render the ``[generate]`` dataset into ``out``; returns it with the
-    resolved section."""
-    gen = C.resolve_section(file_cfg, "generate", defaults, overrides)
-    gen["seed"] = C.resolve_seed(seed, file_cfg, "generate", default=gen["seed"])
+def _generate_stage(out, gen: dict) -> D.WaveformTensor:
+    """Render the dataset of the resolved ``[generate]`` section ``gen``
+    into ``out``."""
     wt = D.generate(
         D.GeneratorConfig(
             module_count=gen["modules"],
@@ -278,7 +265,7 @@ def _generate_stage(out, file_cfg, seed, defaults=None, overrides=None):
     os.makedirs(out, exist_ok=True)
     D.save_dataset(os.path.join(out, "dataset.mwts"), wt)
     D.save_metadata_csv(os.path.join(out, "metadata.csv"), wt)
-    return wt, gen
+    return wt
 
 
 def _train_stage(out, spec: M.ModelSpec, parts: _Splits, tc: TrainConfig,
@@ -405,13 +392,13 @@ def _depth_stage(out, spec: M.ModelSpec, parts: _Splits, tc: TrainConfig, ls: di
 
 
 def _calibration_stage(out, spec: M.ModelSpec, params, normals: D.WaveformTensor,
-                       examples: int, n_draws: int, seed: int, names: list,
-                       jobs: int = 1, bands: bool = True) -> list[int]:
-    """Latent-sampling replicas of ``examples`` seeded picks from
+                       uc: dict, names: list, jobs: int = 1, bands: bool = True) -> list[int]:
+    """Latent-sampling replicas of ``[uq] examples`` seeded picks from
     ``normals``, with the per-channel calibration of each module, and either
     every pick's uncertainty bands or each module's overall calibration
     curve.  Returns the modules covered."""
-    chosen = normals.select(U.choose_examples(normals.n_samples, examples, seed))
+    n_draws, seed = uc["n_draws"], uc["seed"]
+    chosen = normals.select(U.choose_examples(normals.n_samples, uc["examples"], seed))
     modules = sorted(set(chosen.module_ids.tolist()))
     for module in modules:
         subset = chosen.select(chosen.module_ids == module)
@@ -437,14 +424,8 @@ def _calibration_stage(out, spec: M.ModelSpec, params, normals: D.WaveformTensor
 
 
 def cmd_generate(args) -> int:
-    spm = args.samples_per_module
-    overrides = {
-        "modules": args.modules,
-        "samples_per_module": C._int_or_ints(spm) if spm is not None else None,
-        "time_steps": args.time_steps,
-        "faults": args.faults,
-    }
-    wt, gen = _generate_stage(args.out, _file_cfg(args), args.seed, overrides=overrides)
+    gen = _settings(args, _file_cfg(args), "generate")
+    wt = _generate_stage(args.out, gen)
     _write_resolved(args.out, {"generate": gen})
     for module in sorted(set(wt.module_ids.tolist())):
         labels = wt.labels[wt.module_ids == module]
@@ -461,12 +442,9 @@ def cmd_train(args) -> int:
     file_cfg = _file_cfg(args)
     jobs = _jobs(args, file_cfg)
     wt = _load_dataset(args.data)
-    parts = _Splits(wt, file_cfg)
-    tc = _train_config(
-        file_cfg, args.seed, max_epochs=args.epochs, batch_size=args.batch_size,
-        learning_rate=args.learning_rate, eta=args.eta, patience=args.patience,
-    )
-    spec = _model_spec(file_cfg, wt, args.mode, preset=args.preset)
+    parts = _Splits(wt, _settings(args, file_cfg, "split"))
+    tc = TrainConfig(**_settings(args, file_cfg, "train")).validate()
+    spec = _model_spec(args, file_cfg, wt, args.mode)
     out = _outdir(args)
     _write_resolved(
         out,
@@ -508,19 +486,10 @@ def cmd_eval(args) -> int:
         raise ConfigError("give --multi and/or --single-dir")
     file_cfg = _file_cfg(args)
     jobs = _jobs(args, file_cfg)
-    ev = C.resolve_section(
-        file_cfg,
-        "eval",
-        overrides={
-            "fpr_budget": args.fpr_budget,
-            "mode": args.mode,
-            "n_draws": args.n_draws,
-        },
-    )
-    ev["seed"] = C.resolve_seed(args.seed, file_cfg, "eval", default=ev["seed"])
+    ev = _settings(args, file_cfg, "eval")
     wt = _load_dataset(args.data)
-    stats = _find_stats(args.stats, args.multi if args.multi else args.single_dir)
-    parts = _Splits(wt, file_cfg, stats)
+    stats = _find_stats(args.stats, args.multi if args.multi else args.single_dir, wt)
+    parts = _Splits(wt, _settings(args, file_cfg, "split"), stats)
     multi = load_checkpoint(_find_checkpoint(args.multi)) if args.multi else None
     singles = _load_single_models(args.single_dir) if args.single_dir else None
     out = _outdir(args)
@@ -549,13 +518,11 @@ def cmd_eval(args) -> int:
 def cmd_landscape(args) -> int:
     file_cfg = _file_cfg(args)
     jobs = _jobs(args, file_cfg)
-    ls = C.resolve_section(
-        file_cfg, "landscape", overrides={"resolution": args.res, "span": args.span}
-    )
-    tc = _train_config(file_cfg, args.seed)
+    ls = _settings(args, file_cfg, "landscape")
+    tc = TrainConfig(**_settings(args, file_cfg, "train")).validate()
     wt = _load_dataset(args.data)
     spec, params = load_checkpoint(_find_checkpoint(args.model))
-    parts = _Splits(wt, file_cfg, _find_stats(args.stats, args.model))
+    parts = _Splits(wt, _settings(args, file_cfg, "split"), _find_stats(args.stats, args.model, wt))
     out = _outdir(args)
 
     if args.depth_sweep:
@@ -602,20 +569,15 @@ def cmd_landscape(args) -> int:
 
 def cmd_uq(args) -> int:
     file_cfg = _file_cfg(args)
-    uc = C.resolve_section(
-        file_cfg, "uq", overrides={"n_draws": args.n_draws, "examples": args.examples}
-    )
-    uc["seed"] = C.resolve_seed(args.seed, file_cfg, "uq", default=uc["seed"])
+    uc = _settings(args, file_cfg, "uq")
     wt = _load_dataset(args.data)
     spec, params = load_checkpoint(_find_checkpoint(args.model))
-    parts = _Splits(wt, file_cfg, _find_stats(args.stats, args.model))
+    parts = _Splits(wt, _settings(args, file_cfg, "split"), _find_stats(args.stats, args.model, wt))
     normals = parts.test.select(parts.test.normal_mask())
     if normals.n_samples == 0:
         raise DataError("test split has no normal samples")
     out = _outdir(args)
-    modules = _calibration_stage(
-        out, spec, params, normals, uc["examples"], uc["n_draws"], uc["seed"], parts.names
-    )
+    modules = _calibration_stage(out, spec, params, normals, uc, parts.names)
     write_manifest(
         os.path.join(out, "manifest.txt"),
         {
@@ -670,8 +632,8 @@ def cmd_reproduce(args) -> int:
             "to confirm"
         )
     file_cfg = _file_cfg(args)
-    jobs = _jobs(args, file_cfg)
-    seed = C.resolve_seed(args.seed, file_cfg, "general", C.SETTINGS["general"]["seed"])
+    general = _settings(args, file_cfg, "general")
+    jobs, seed = max(1, general["jobs"]), general["seed"]
     out = _outdir(args)
     experiments = (
         ("detection", "depth", "calibration")
@@ -682,35 +644,31 @@ def cmd_reproduce(args) -> int:
         print(f"== {name} ({args.scale}) ==")
         sizes = EXPERIMENT_SIZES[args.scale][name]
 
-        def sized(section):
-            return {**C.SETTINGS[section], **sizes.get(section, {})}
+        def sized(section, **plain):
+            """``[section]`` over this experiment's sizes, then ``plain``."""
+            defaults = {**C.SETTINGS[section], **sizes.get(section, {})}
+            return {**_settings(args, file_cfg, section, defaults), **plain}
 
         exp_dir = os.path.join(out, name)
-        wt, gen = _generate_stage(
-            os.path.join(exp_dir, "data"), file_cfg, seed, sized("generate")
-        )
-        parts = _Splits(wt, file_cfg)
-        tc = _train_config(file_cfg, seed, sized("train"))
-        spec = _model_spec(file_cfg, wt, "cvae", sizes.get("model"))
+        gen = sized("generate", seed=seed)
+        wt = _generate_stage(os.path.join(exp_dir, "data"), gen)
+        parts = _Splits(wt, sized("split"))
+        tc = TrainConfig(**sized("train", seed=seed)).validate()
+        spec = _model_spec(args, file_cfg, wt, "cvae", sizes.get("model"))
         resolved = {"generate": gen, "split": parts.config, "train": dataclasses.asdict(tc)}
         if name == "detection":
-            ev = C.resolve_section(file_cfg, "eval", sized("eval"))
-            resolved["eval"] = {**ev, "mode": "sampled", "seed": seed}
+            resolved["eval"] = sized("eval", mode="sampled", seed=seed)
             _reproduce_detection(exp_dir, spec, parts, tc, resolved["eval"], jobs)
         elif name == "depth":
-            ls = C.resolve_section(file_cfg, "landscape", sized("landscape"))
-            _depth_stage(exp_dir, spec, parts, tc, ls, jobs)
-            resolved["landscape"] = ls
+            resolved["landscape"] = sized("landscape")
+            _depth_stage(exp_dir, spec, parts, tc, resolved["landscape"], jobs)
         else:
-            uc = C.resolve_section(file_cfg, "uq", sized("uq"))
+            uc = resolved["uq"] = sized("uq", seed=seed)
             model = _train_stage(os.path.join(exp_dir, "model"), spec, parts, tc)
             normals = parts.test.select(parts.test.normal_mask())
-            uc.update(examples=min(uc["examples"], normals.n_samples), seed=seed)
-            _calibration_stage(
-                exp_dir, spec, model.params, normals, uc["examples"], uc["n_draws"],
-                uc["seed"], parts.names, jobs=jobs, bands=False,
-            )
-            resolved["uq"] = uc
+            uc["examples"] = min(uc["examples"], normals.n_samples)
+            _calibration_stage(exp_dir, spec, model.params, normals, uc, parts.names,
+                               jobs=jobs, bands=False)
         _write_resolved(exp_dir, resolved)
     _write_repro_manifest(os.path.join(out, "MANIFEST.txt"), out)
     print(f"bundle complete -> {out}")

@@ -30,11 +30,6 @@ def _ints(raw: str) -> tuple[int, ...]:
         raise ConfigError(f"expected comma-separated integers, got {raw!r}") from exc
 
 
-def _int_or_ints(raw: str):
-    parts = _ints(raw)
-    return parts[0] if len(parts) == 1 else parts
-
-
 def finite_float(raw: str) -> float:
     """``float(raw)``, refusing ``nan`` and infinities with ``ValueError``."""
     value = float(raw)
@@ -88,11 +83,29 @@ SETTINGS: dict[str, dict[str, object]] = {
 
 _PARSERS = {int: int, float: finite_float, str: str, tuple: _ints}
 
+# subcommand -> the "section.key" settings its flags override.  A flag is
+# its key with dashes unless FLAG_NAMES names it; --seed sets the one seed
+# MODWATCH_SEED stands in for.
+FLAGS: dict[str, tuple[str, ...]] = {
+    "generate": ("generate.modules", "generate.samples_per_module", "generate.time_steps",
+                 "generate.faults", "generate.seed", "general.jobs"),
+    "train": ("model.preset", "train.max_epochs", "train.batch_size", "train.learning_rate",
+              "train.eta", "train.patience", "train.seed", "general.jobs"),
+    "eval": ("eval.fpr_budget", "eval.mode", "eval.n_draws", "eval.seed", "general.jobs"),
+    "landscape": ("landscape.resolution", "landscape.span", "train.seed", "general.jobs"),
+    "uq": ("uq.n_draws", "uq.examples", "uq.seed", "general.jobs"),
+    "reproduce": ("general.seed", "general.jobs"),
+}
+FLAG_NAMES = {"train.max_epochs": "--epochs", "landscape.resolution": "--res",
+              "landscape.span": "--range"}
+CHOICES = {"model.preset": ("desk", "full"), "eval.mode": ("deterministic", "sampled")}
+
 
 def parse_value(section: str, key: str, raw: str):
     """A config-file string for ``section.key``, read as its default's type."""
     if key == "samples_per_module":  # one count for every module, or one each
-        return _int_or_ints(raw)
+        parts = _ints(raw)
+        return parts[0] if len(parts) == 1 else parts
     return _PARSERS[type(SETTINGS[section][key])](raw)
 
 
@@ -134,7 +147,7 @@ def resolve_section(
     overrides: dict | None = None,
 ) -> dict:
     """Typed merge of defaults (the built-in ones unless given) <- config
-    file <- CLI overrides."""
+    file <- the ``overrides`` that are not ``None``."""
     if section not in SETTINGS:
         raise ConfigError(f"unknown config section [{section}]")
     resolved = dict(SETTINGS[section] if defaults is None else defaults)
@@ -145,33 +158,19 @@ def resolve_section(
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in SETTINGS[section]:
-            raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        resolved[key] = value
+    resolved.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     return resolved
 
 
-def resolve_seed(flag_seed, file_cfg: dict[str, dict[str, str]], section: str,
-                 default: int) -> int:
-    """Seed precedence: flag, config, MODWATCH_SEED env, default."""
-    if flag_seed is not None:
-        return int(flag_seed)
-    raw = file_cfg.get(section, {}).get("seed")
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad seed in [{section}]: {raw!r}") from exc
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"bad {ENV_SEED} value: {env!r}") from exc
-    return default
+def env_seed(default: int) -> int:
+    """The MODWATCH_SEED environment variable as a seed, else ``default``."""
+    raw = os.environ.get(ENV_SEED)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad {ENV_SEED} value: {raw!r}") from exc
 
 
 def write_resolved_config(path, sections: dict[str, dict]) -> None:

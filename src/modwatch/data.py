@@ -448,12 +448,16 @@ class ChannelStats:
                   [channel_names, self.mean, self.sd, self.constant])
 
     @classmethod
-    def load_csv(cls, path) -> "ChannelStats":
-        """Read ``save_csv``'s file; a missing column or a cell that is not
-        a number raises ``DataError`` naming the file."""
+    def load_csv(cls, path, channel_names=None) -> "ChannelStats":
+        """Read ``save_csv``'s file.  A missing column, a cell that is not a
+        number, a non-finite mean or sd, a non-positive sd on a row not
+        flagged constant, or a ``channel`` column other than
+        ``channel_names`` (when given), in count or order, raises
+        ``DataError`` naming the file."""
         try:
             with open(path, newline="") as fh:
                 rows = list(csv.DictReader(fh))
+            names = [r["channel"] for r in rows]
             mean = np.array([float(r["mean"]) for r in rows])
             sd = np.array([float(r["sd"]) for r in rows])
             constant = np.array([bool(int(r["constant"])) for r in rows])
@@ -463,6 +467,14 @@ class ChannelStats:
             raise DataError(f"malformed channel stats file {path}: {exc}") from exc
         if not rows:
             raise DataError(f"empty channel stats file {path}")
+        if not (np.isfinite(mean).all() and np.isfinite(sd).all()):
+            raise DataError(f"channel stats file {path} has a non-finite mean or sd")
+        if (sd[~constant] <= 0).any():
+            raise DataError(f"channel stats file {path} has a non-positive sd "
+                            "on a channel not flagged constant")
+        if channel_names is not None and names != list(channel_names):
+            raise DataError(f"channel stats file {path} lists channels {names}, "
+                            f"the data has {list(channel_names)}")
         return cls(mean=mean, sd=sd, constant=constant)
 
 

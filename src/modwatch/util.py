@@ -49,22 +49,24 @@ _NO_BLAS = (lambda: None, lambda n: None)
 
 
 def parallel_map(fn, items, jobs: int) -> list:
-    """``[fn(item) for item in items]``, spread over ``min(jobs, len(items))``
-    worker threads; the results keep the order of ``items``.
+    """``[fn(item) for item in items]``, spread over ``min(jobs, len(items),
+    cores)`` worker threads, cores being the CPUs this process may run on;
+    the results keep the order of ``items``.
 
     With one worker the map runs inline.  A pool caps BLAS at
-    cores // workers threads (at least one) while it runs, so workers times
+    cores // workers threads while it runs, so workers times
     BLAS threads stay within the cores, and restores the earlier count
     afterwards, also when a worker raises.  The count is process-wide, so
     pools must not nest or overlap; none in modwatch do.
     """
     items = list(items)
-    workers = min(jobs, len(items))
+    cores = len(os.sched_getaffinity(0))
+    workers = min(jobs, len(items), cores)
     if workers <= 1:
         return [fn(item) for item in items]
     get, set_ = _openblas() or _NO_BLAS
     before = get()
-    set_(max(1, len(os.sched_getaffinity(0)) // workers))
+    set_(cores // workers)
     try:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))

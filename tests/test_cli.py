@@ -1,8 +1,10 @@
 """End-to-end command-line workflows in temporary directories."""
 import configparser
+import csv
 import hashlib
 import io
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -341,6 +343,44 @@ def test_env_seed_is_used_when_nothing_else_set(tmp_path, monkeypatch):
     assert outs[0] == outs[1] != outs[2]
 
 
+def test_env_seed_sets_only_the_seed_that_seed_flag_sets(workspace, tmp_path, monkeypatch):
+    # landscape's --seed is [train] seed; [split] seed never reads the env
+    monkeypatch.setenv("MODWATCH_SEED", "23")
+    out = tmp_path / "land"
+    assert run("landscape", "--data", str(workspace / "data" / "dataset.mwts"),
+               "--model", str(workspace / "cvae"), "--res", "1", "--out", str(out)) == 0
+    resolved = configparser.ConfigParser()
+    resolved.read(out / "resolved.ini")
+    assert resolved["train"]["seed"] == "23" and resolved["split"]["seed"] == "0"
+
+
+def test_flag_and_config_key_resolve_the_same(tmp_path):
+    cfg = tmp_path / "gen.ini"
+    cfg.write_text("[generate]\nsamples_per_module = 40,36,44\n")
+    common = ["--modules", "3", "--time-steps", "32", "--faults", "6"]
+    assert run("generate", "--out", str(tmp_path / "flag"), *common,
+               "--samples-per-module", "40,36,44") == 0
+    assert run("generate", "--out", str(tmp_path / "file"), *common,
+               "--config", str(cfg)) == 0
+    for name in ("resolved.ini", "dataset.mwts"):
+        assert sha(tmp_path / "flag" / name) == sha(tmp_path / "file" / name), name
+    assert "samples_per_module = 40,36,44" in (tmp_path / "flag" / "resolved.ini").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--samples-per-module", "4,x"],
+    ["train", "--data", "d.mwts", "--epochs", "x"],
+    ["train", "--data", "d.mwts", "--preset", "huge"],
+    ["eval", "--data", "d.mwts", "--mode", "fast"],
+    ["landscape", "--data", "d.mwts", "--model", "m", "--range", "inf"],
+])
+def test_bad_setting_flag_is_a_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--out", str(tmp_path / "o"))
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}" in capsys.readouterr().err
+
+
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[generate]\nmodules = 2\ntypo_key = 5\n")
@@ -398,6 +438,36 @@ def test_exit_code_malformed_stats_csv(workspace, tmp_path, capsys, edit, messag
                "--out", str(tmp_path / "o")) == 4
     err = capsys.readouterr().err
     assert message in err and str(stats) in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rows: rows[::-1],
+    lambda rows: [[c, m, repr(-float(sd)), k] for c, m, sd, k in rows],
+    lambda rows: rows[:-1],
+    lambda rows: [[rows[0][0], "nan", *rows[0][2:]], *rows[1:]],
+], ids=["rows reversed", "sd negated", "one row short", "nan mean"])
+def test_stats_csv_that_disagrees_with_the_data_exits_4(workspace, tmp_path, capsys, edit):
+    # each once scored silently wrong (reversed, negated) or exited 5 or 3
+    with open(workspace / "cvae" / "stats.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    stats = tmp_path / "stats.csv"
+    with open(stats, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *edit(rows)])
+    assert run("eval", "--data", str(workspace / "data" / "dataset.mwts"),
+               "--multi", str(workspace / "cvae"), "--stats", str(stats),
+               "--out", str(tmp_path / "o")) == 4
+    assert str(stats) in capsys.readouterr().err
+
+
+def test_missing_stats_csv_exits_4(workspace, tmp_path, capsys):
+    model = tmp_path / "model"
+    model.mkdir()
+    shutil.copy(workspace / "cvae" / "checkpoint.mwck", model)
+    assert run("eval", "--data", str(workspace / "data" / "dataset.mwts"),
+               "--multi", str(model), "--out", str(tmp_path / "o")) == 4
+    err = capsys.readouterr().err
+    assert "channel stats file not found" in err and "pass --stats" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_exit_code_config_error(tmp_path, capsys):

@@ -43,6 +43,17 @@ def test_every_default_round_trips_through_its_parser():
             assert value == default and type(value) is type(default), (section, key, text)
 
 
+def test_every_flag_names_a_setting():
+    named = [s for settings in C.FLAGS.values() for s in settings]
+    for setting in [*named, *C.FLAG_NAMES, *C.CHOICES]:
+        section, key = setting.split(".")
+        assert key in C.SETTINGS[section], setting
+    assert set(C.FLAG_NAMES) | set(C.CHOICES) <= set(named)
+    for setting, choices in C.CHOICES.items():
+        section, key = setting.split(".")
+        assert C.SETTINGS[section][key] in choices, setting
+
+
 def test_resolved_config_holds_a_percent_as_written(tmp_path):
     # no setting interpolates, so a value is written and read back verbatim
     path = tmp_path / "resolved.ini"

@@ -1,14 +1,17 @@
-"""The README's output-file table: the columns it lists for each eval
-summary CSV are the keys of the column table its builder returns, so the
-docs cannot drift from the one place each header is declared."""
+"""The README's tables: the columns it lists for each eval summary CSV are
+the keys of the column table its builder returns, and the flags it lists
+for each command are the parser's, so the docs cannot drift from the one
+place each header or flag is declared."""
 from __future__ import annotations
 
+import argparse
 import pathlib
 import re
 
 import numpy as np
 import pytest
 
+from modwatch import cli
 from modwatch import data as D
 from modwatch.evaluate import AnomalyScore, auc_table, compare_methods, summarize
 
@@ -50,3 +53,33 @@ def _tables() -> dict[str, dict]:
 @pytest.mark.parametrize("row", sorted(_tables()))
 def test_readme_lists_each_summary_header(row):
     assert _readme_columns()[row] == list(_tables()[row])
+
+
+# every subcommand has these; the Commands table's text lists them once
+COMMON_FLAGS = {"-h", "--help", "--out", "--config", "--seed", "--jobs"}
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = cli.build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _readme_command_flags() -> dict[str, set[str]]:
+    """``| `cmd` | purpose | `--a`, `--b X` |`` rows -> {"cmd": {"--a", "--b"}}."""
+    text = README.read_text()
+    table = text[text.index("| command | purpose | key flags |"):]
+    found = {}
+    for line in table.splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        command, _, flags = line.strip("|").split(" | ")
+        found[command.strip("` ")] = set(re.findall(r"`(--[a-z-]+)", flags))
+    return found
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers()))
+def test_readme_lists_each_command_flag(command):
+    sub = _subparsers()[command]
+    flags = {s for action in sub._actions for s in action.option_strings}
+    assert _readme_command_flags()[command] == flags - COMMON_FLAGS

@@ -2,7 +2,7 @@
 hashing or writing arrays without a copy."""
 import hashlib
 import io
-import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -22,10 +22,16 @@ def blas_threads() -> int:
     return util._openblas()[0]()
 
 
+def fake_cores(monkeypatch, n: int) -> None:
+    """Make ``parallel_map`` see ``n`` cores, whatever the host has."""
+    monkeypatch.setattr(util.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 @pytest.fixture
-def blas_at_three():
-    """BLAS set to 3 threads, a count no budget on a 2- or 4-core box gives,
-    and put back as found afterwards."""
+def blas_at_three(monkeypatch):
+    """Four cores, and BLAS set to 3 threads, a count no budget on four
+    cores gives, put back as found afterwards."""
+    fake_cores(monkeypatch, 4)
     get, set_ = util._openblas()
     before = get()
     set_(3)
@@ -37,7 +43,7 @@ class TestBlasBudget:
     @needs_blas
     def test_pool_caps_blas_at_cores_per_worker(self, blas_at_three):
         seen = util.parallel_map(lambda _: blas_threads(), range(4), 2)
-        assert seen == [max(1, len(os.sched_getaffinity(0)) // 2)] * 4
+        assert seen == [2] * 4
 
     @needs_blas
     def test_count_restored_after_the_map(self, blas_at_three):
@@ -68,6 +74,7 @@ class TestBlasBudget:
         assert seen == [3] * len(items)
 
     def test_map_works_without_the_handle(self, monkeypatch):
+        fake_cores(monkeypatch, 4)
         monkeypatch.setattr(util, "_openblas", lambda: None)
         assert util.parallel_map(lambda x: x + 1, range(6), 3) == [1, 2, 3, 4, 5, 6]
 
@@ -75,9 +82,24 @@ class TestBlasBudget:
         # two items over eight jobs: two workers, so BLAS gets cores // 2
         calls = []
         monkeypatch.setattr(util, "_openblas", lambda: (lambda: 5, calls.append))
-        monkeypatch.setattr(util.os, "sched_getaffinity", lambda pid: set(range(8)))
+        fake_cores(monkeypatch, 8)
         assert util.parallel_map(lambda x: x, "ab", 8) == ["a", "b"]
         assert calls == [4, 5]
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_jobs_above_the_cores_start_at_most_cores_threads(self, monkeypatch, cores):
+        calls, pools = [], []
+        monkeypatch.setattr(util, "_openblas", lambda: (lambda: 5, calls.append))
+        fake_cores(monkeypatch, cores)
+        pool = util.ThreadPoolExecutor
+        monkeypatch.setattr(util, "ThreadPoolExecutor",
+                            lambda max_workers: pools.append(max_workers) or pool(max_workers))
+        threads = util.parallel_map(lambda _: threading.get_ident(), range(16), 8)
+        assert len(set(threads)) <= cores
+        if cores == 1:  # one worker runs inline and leaves BLAS alone
+            assert threads == [threading.get_ident()] * 16 and pools == calls == []
+        else:  # one BLAS thread per worker
+            assert pools == [cores] and calls == [1, 5]
 
 
 class TestCheckFinite:
