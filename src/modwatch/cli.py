@@ -1,7 +1,8 @@
 """Command-line surface: generate, train, eval, landscape, uq, reproduce.
 
-Exit codes are a stable contract: 0 ok, 2 configuration, 3 numeric
-(including training divergence), 4 data, 5 shape.
+Exit codes are a stable contract: 0 ok, else the ``exit_code`` of the
+``errors`` class raised.  ``--out`` appears with the first file written,
+so a run refused before then leaves none.
 """
 from __future__ import annotations
 
@@ -20,22 +21,9 @@ from . import landscape as L
 from . import model as M
 from . import uq as U
 from .checkpoint import load_checkpoint
-from .errors import (
-    ConfigError,
-    DataError,
-    ModwatchError,
-    NumericError,
-    ShapeError,
-)
+from .errors import ConfigError, DataError, ModwatchError
 from .train import TrainConfig, train, train_single_module_suite, write_manifest
 from .util import atomic_open, sha256_file
-
-EXIT_CODES: tuple[tuple[type, int], ...] = (
-    (ConfigError, 2),
-    (NumericError, 3),
-    (DataError, 4),
-    (ShapeError, 5),
-)
 
 def main(argv=None) -> int:
     parser = build_parser()
@@ -46,12 +34,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ModwatchError as exc:
-        for etype, code in EXIT_CODES:
-            if isinstance(exc, etype):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,11 +128,6 @@ def _settings(args, file_cfg, section: str, defaults=None) -> dict:
 
 def _jobs(args, file_cfg) -> int:
     return max(1, _settings(args, file_cfg, "general")["jobs"])
-
-
-def _outdir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
 
 
 def _load_dataset(path) -> D.WaveformTensor:
@@ -248,21 +227,8 @@ def _write_resolved(out, sections: dict) -> None:
 def _generate_stage(out, gen: dict) -> D.WaveformTensor:
     """Render the dataset of the resolved ``[generate]`` section ``gen``
     into ``out``."""
-    wt = D.generate(
-        D.GeneratorConfig(
-            module_count=gen["modules"],
-            samples_per_module=gen["samples_per_module"],
-            time_steps=gen["time_steps"],
-            noise_sd=gen["noise_sd"],
-            amplitude_spread=gen["amplitude_spread"],
-            frequency_spread=gen["frequency_spread"],
-            fault_count=gen["faults"],
-            flatline_fraction=gen["flatline_fraction"],
-            fault_modules=gen["fault_modules"] or None,
-            seed=gen["seed"],
-        ).validate()
-    )
-    os.makedirs(out, exist_ok=True)
+    field = {key: name for name, key in C.GENERATE_KEYS.items()}
+    wt = D.generate(D.GeneratorConfig(**{field.get(k, k): v for k, v in gen.items()}).validate())
     D.save_dataset(os.path.join(out, "dataset.mwts"), wt)
     D.save_metadata_csv(os.path.join(out, "metadata.csv"), wt)
     return wt
@@ -273,7 +239,6 @@ def _train_stage(out, spec: M.ModelSpec, parts: _Splits, tc: TrainConfig,
     """Train the CVAE (``spec.mode == "cvae"``) or one VAE per module (only
     ``module`` when it is an id) into ``out``, with ``stats.csv`` beside
     every checkpoint."""
-    os.makedirs(out, exist_ok=True)
     parts.stats.save_csv(os.path.join(out, "stats.csv"), parts.names)
     if spec.mode == "cvae":
         result = train(spec, parts.train, parts.val_normal, tc, out_dir=out)
@@ -283,15 +248,9 @@ def _train_stage(out, spec: M.ModelSpec, parts: _Splits, tc: TrainConfig,
         )
         return result
     train_set, val_set = parts.train, parts.val_normal
-    if module not in (None, "all"):
-        try:
-            module = int(module)
-        except ValueError:
-            raise ConfigError(f"--module must be a module id or 'all', got {module!r}") from None
+    if module is not None:
         train_set = train_set.select(train_set.module_ids == module)
         val_set = val_set.select(val_set.module_ids == module)
-        if train_set.n_samples == 0:
-            raise DataError(f"module {module} has no training samples")
     results = train_single_module_suite(spec, train_set, val_set, tc, jobs=jobs, out_dir=out)
     for m, res in sorted(results.items()):
         parts.stats.save_csv(os.path.join(out, f"vae_module_{m}", "stats.csv"), parts.names)
@@ -402,9 +361,8 @@ def _calibration_stage(out, spec: M.ModelSpec, params, normals: D.WaveformTensor
     modules = sorted(set(chosen.module_ids.tolist()))
     for module in modules:
         subset = chosen.select(chosen.module_ids == module)
-        ids = subset.module_ids if spec.mode == "cvae" else None
-        reps = U.replicate(params, spec, subset.data, ids, n_draws=n_draws, seed=seed,
-                           jobs=jobs)
+        reps = U.replicate(params, spec, subset.data, subset.module_ids, n_draws=n_draws,
+                           seed=seed, jobs=jobs)
         observed = subset.data.astype(np.float64)
         U.write_uq_csv(
             os.path.join(out, f"uq_{module}.csv"), names,
@@ -438,16 +396,32 @@ def cmd_generate(args) -> int:
 # --------------------------------------------------------------------- train
 
 
+def _module_id(flag, parts: _Splits) -> int | None:
+    """``--module`` as the id of a module with training samples, or None
+    for every module."""
+    if flag in (None, "all"):
+        return None
+    try:
+        module = int(flag)
+    except ValueError:
+        raise ConfigError(f"--module must be a module id or 'all', got {flag!r}") from None
+    if not (parts.train.module_ids == module).any():
+        raise DataError(f"module {module} has no training samples")
+    return module
+
+
 def cmd_train(args) -> int:
+    if args.mode == "cvae" and args.module is not None:
+        raise ConfigError("--module needs --mode vae: the cvae trains on every module")
     file_cfg = _file_cfg(args)
     jobs = _jobs(args, file_cfg)
     wt = _load_dataset(args.data)
     parts = _Splits(wt, _settings(args, file_cfg, "split"))
     tc = TrainConfig(**_settings(args, file_cfg, "train")).validate()
     spec = _model_spec(args, file_cfg, wt, args.mode)
-    out = _outdir(args)
+    module = _module_id(args.module, parts)
     _write_resolved(
-        out,
+        args.out,
         {
             "model": spec.to_kv(),
             "train": dataclasses.asdict(tc),
@@ -455,7 +429,7 @@ def cmd_train(args) -> int:
             "general": {"jobs": jobs},
         },
     )
-    _train_stage(out, spec, parts, tc, jobs=jobs, module=args.module)
+    _train_stage(args.out, spec, parts, tc, jobs=jobs, module=module)
     return 0
 
 
@@ -492,14 +466,13 @@ def cmd_eval(args) -> int:
     parts = _Splits(wt, _settings(args, file_cfg, "split"), stats)
     multi = load_checkpoint(_find_checkpoint(args.multi)) if args.multi else None
     singles = _load_single_models(args.single_dir) if args.single_dir else None
-    out = _outdir(args)
-    entries, single_scores = _detection_stage(out, parts, ev, multi, singles, jobs)
+    entries, single_scores = _detection_stage(args.out, parts, ev, multi, singles, jobs)
     for module, scores_m in sorted((single_scores or {}).items()):
         E.write_scores_csv(
-            os.path.join(out, f"scores_module_{module}.csv"), scores_m, parts.names
+            os.path.join(args.out, f"scores_module_{module}.csv"), scores_m, parts.names
         )
     write_manifest(
-        os.path.join(out, "manifest.txt"),
+        os.path.join(args.out, "manifest.txt"),
         {
             "data": os.path.abspath(args.data),
             "mode": ev["mode"],
@@ -508,7 +481,7 @@ def cmd_eval(args) -> int:
             **entries,
         },
     )
-    _write_resolved(out, {"eval": ev, "split": parts.config, "general": {"jobs": jobs}})
+    _write_resolved(args.out, {"eval": ev, "split": parts.config, "general": {"jobs": jobs}})
     return 0
 
 
@@ -523,10 +496,9 @@ def cmd_landscape(args) -> int:
     wt = _load_dataset(args.data)
     spec, params = load_checkpoint(_find_checkpoint(args.model))
     parts = _Splits(wt, _settings(args, file_cfg, "split"), _find_stats(args.stats, args.model, wt))
-    out = _outdir(args)
 
     if args.depth_sweep:
-        _depth_stage(out, spec, parts, tc, ls, jobs)
+        _depth_stage(args.out, spec, parts, tc, ls, jobs)
     else:
         surface_data = parts.surface(ls["dataset_split"])
         gamma = L.random_direction(params, ls["gamma_seed"], tag="gamma")
@@ -543,17 +515,17 @@ def cmd_landscape(args) -> int:
             batch_size=ls["batch_size"],
             jobs=jobs,
         )
-        L.write_landscape_csv(os.path.join(out, "landscape_main.csv"), grid)
+        L.write_landscape_csv(os.path.join(args.out, "landscape_main.csv"), grid)
         print(f"center loss {grid.center_loss!r}")
         if ls["resolution"] >= 5:
             report = L.convexity_report(grid)
             L.write_convexity_csv(
-                os.path.join(out, "report.csv"), [L.convexity_row("main", grid, report)]
+                os.path.join(args.out, "report.csv"), [L.convexity_row("main", grid, report)]
             )
             print(f"psd fraction {report.psd_fraction:.3f}")
 
     _write_resolved(
-        out,
+        args.out,
         {
             "landscape": ls,
             "train": dataclasses.asdict(tc),
@@ -576,10 +548,9 @@ def cmd_uq(args) -> int:
     normals = parts.test.select(parts.test.normal_mask())
     if normals.n_samples == 0:
         raise DataError("test split has no normal samples")
-    out = _outdir(args)
-    modules = _calibration_stage(out, spec, params, normals, uc, parts.names)
+    modules = _calibration_stage(args.out, spec, params, normals, uc, parts.names)
     write_manifest(
-        os.path.join(out, "manifest.txt"),
+        os.path.join(args.out, "manifest.txt"),
         {
             "n_draws": uc["n_draws"],
             "examples": uc["examples"],
@@ -587,7 +558,7 @@ def cmd_uq(args) -> int:
             "modules": ",".join(str(m) for m in modules),
         },
     )
-    _write_resolved(out, {"uq": uc, "split": parts.config})
+    _write_resolved(args.out, {"uq": uc, "split": parts.config})
     return 0
 
 
@@ -634,7 +605,6 @@ def cmd_reproduce(args) -> int:
     file_cfg = _file_cfg(args)
     general = _settings(args, file_cfg, "general")
     jobs, seed = max(1, general["jobs"]), general["seed"]
-    out = _outdir(args)
     experiments = (
         ("detection", "depth", "calibration")
         if args.experiment == "all"
@@ -649,7 +619,7 @@ def cmd_reproduce(args) -> int:
             defaults = {**C.SETTINGS[section], **sizes.get(section, {})}
             return {**_settings(args, file_cfg, section, defaults), **plain}
 
-        exp_dir = os.path.join(out, name)
+        exp_dir = os.path.join(args.out, name)
         gen = sized("generate", seed=seed)
         wt = _generate_stage(os.path.join(exp_dir, "data"), gen)
         parts = _Splits(wt, sized("split"))
@@ -670,8 +640,8 @@ def cmd_reproduce(args) -> int:
             _calibration_stage(exp_dir, spec, model.params, normals, uc, parts.names,
                                jobs=jobs, bands=False)
         _write_resolved(exp_dir, resolved)
-    _write_repro_manifest(os.path.join(out, "MANIFEST.txt"), out)
-    print(f"bundle complete -> {out}")
+    _write_repro_manifest(os.path.join(args.out, "MANIFEST.txt"), args.out)
+    print(f"bundle complete -> {args.out}")
     return 0
 
 
@@ -683,7 +653,6 @@ def _reproduce_detection(exp_dir, spec, parts: _Splits, tc, ev, jobs) -> None:
     cvae = _train_stage(os.path.join(models_dir, "cvae"), spec, parts, tc)
     suite = _train_stage(models_dir, dataclasses.replace(spec, mode="vae"), parts, tc, jobs)
     metrics_dir = os.path.join(exp_dir, "metrics")
-    os.makedirs(metrics_dir, exist_ok=True)
     entries, _ = _detection_stage(
         metrics_dir, parts, ev,
         multi=(spec, cvae.params),
@@ -696,7 +665,6 @@ def _reproduce_detection(exp_dir, spec, parts: _Splits, tc, ev, jobs) -> None:
          "test_samples": parts.test.n_samples},
     )
     bands_dir = os.path.join(exp_dir, "bands")
-    os.makedirs(bands_dir, exist_ok=True)
     normal = parts.test.normal_mask()
     for idx in (*np.flatnonzero(normal)[:1], *np.flatnonzero(~normal)[:1]):
         sample = parts.test.select(np.array([idx]))

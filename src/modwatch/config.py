@@ -12,6 +12,7 @@ import math
 import os
 from dataclasses import fields
 
+from .data import GeneratorConfig
 from .errors import ConfigError
 from .model import ModelSpec
 from .train import TrainConfig
@@ -38,23 +39,20 @@ def finite_float(raw: str) -> float:
     return value
 
 
+# [generate] keys named apart from their GeneratorConfig field
+GENERATE_KEYS = {"module_count": "modules", "fault_count": "faults"}
+
 # section -> key -> built-in default.  A key's parser follows its default's
-# type (see ``parse_value``).  [train] is TrainConfig's fields; [model] is
-# ModelSpec's but ``mode``, whose defaults come from the preset and the data
-# instead, so they only give the keys their types.
+# type (see ``parse_value``).  [generate] is GeneratorConfig's fields but the
+# fault mix and severities, which no setting reaches; [train] is
+# TrainConfig's; [model] is ModelSpec's but ``mode``, whose defaults come
+# from the preset and the data instead, so they only give the keys their
+# types.
 SETTINGS: dict[str, dict[str, object]] = {
     "general": {"seed": 0, "jobs": 1},
     "generate": {
-        "modules": 15,
-        "samples_per_module": 40,
-        "time_steps": 512,
-        "noise_sd": 0.02,
-        "amplitude_spread": 0.25,
-        "frequency_spread": 0.30,
-        "faults": 150,
-        "flatline_fraction": 0.05,
-        "fault_modules": (),
-        "seed": 0,
+        GENERATE_KEYS.get(f.name, f.name): f.default
+        for f in fields(GeneratorConfig) if f.name not in ("fault_mix", "severity")
     },
     "model": {
         "preset": "desk",

@@ -104,7 +104,7 @@ class GeneratorConfig:
     fault_mix: dict[FaultClass, float] = field(default_factory=_default_mix)
     severity: dict[FaultClass, float] = field(default_factory=_default_severity)
     flatline_fraction: float = 0.05
-    fault_modules: tuple[int, ...] | None = None
+    fault_modules: tuple[int, ...] = ()  # modules that get faults; () means every one
     seed: int = 0
 
     def validate(self) -> "GeneratorConfig":
@@ -134,10 +134,8 @@ class GeneratorConfig:
                 raise ConfigError(f"severity for {fc.value} must be > 0, got {s}")
         if not 0 <= self.flatline_fraction <= 1:
             raise ConfigError(f"flatline_fraction must lie in [0, 1], got {self.flatline_fraction}")
-        if self.fault_modules is not None:
-            bad = [m for m in self.fault_modules if not 0 <= m < self.module_count]
-            if bad or not self.fault_modules:
-                raise ConfigError(f"fault_modules out of range: {self.fault_modules}")
+        if any(not 0 <= m < self.module_count for m in self.fault_modules):
+            raise ConfigError(f"fault_modules out of range: {self.fault_modules}")
         return self
 
     def per_module_counts(self) -> tuple[int, ...]:
@@ -389,7 +387,7 @@ def _largest_remainder(total: int, weights: list[float]) -> list[int]:
 def fault_plan(cfg: GeneratorConfig) -> list[tuple[FaultClass, int, bool]]:
     """Deterministic (class, module, flatline) schedule for fault samples."""
     counts = _largest_remainder(cfg.fault_count, [cfg.fault_mix.get(fc, 0.0) for fc in FAULT_CLASSES])
-    modules = cfg.fault_modules if cfg.fault_modules is not None else tuple(range(cfg.module_count))
+    modules = cfg.fault_modules or tuple(range(cfg.module_count))
     plan = []
     cursor = 0
     for fc, k in zip(FAULT_CLASSES, counts):

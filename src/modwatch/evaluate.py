@@ -118,7 +118,7 @@ def score(
         rows = slice(start, min(start + batch_size, n))
         x = check_finite(data.data[rows], "waveform data")
         x64 = x.astype(np.float64)
-        ids = data.module_ids[rows] if spec.mode == "cvae" else None
+        ids = data.module_ids[rows]
         if mode == "deterministic":
             channel_mse[rows] = _channel_mse(x64, M.reconstruct(params, spec, x, ids))
             return

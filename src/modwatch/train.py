@@ -40,8 +40,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.max_epochs < 0:
-            raise ConfigError(f"max_epochs must be >= 0, got {self.max_epochs}")
+        if self.max_epochs < 1:
+            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.eta < 0:
@@ -133,8 +133,7 @@ def dataset_loss(
     for start in range(0, n, batch_size):
         stop = min(start + batch_size, n)
         x = Tensor(ds.data[start:stop])
-        ids = ds.module_ids[start:stop] if spec.mode == "cvae" else None
-        br = M.loss(params, spec, x, ids, eta=eta, epsilon=None)
+        br = M.loss(params, spec, x, ds.module_ids[start:stop], eta=eta, epsilon=None)
         weight = stop - start
         sums += np.array([br.reconstruction, br.kld]) * weight
     rec, kld = (sums / n).tolist()
@@ -175,7 +174,7 @@ def train(
         for start in range(0, n, config.batch_size):
             take = perm[start : start + config.batch_size]
             x = Tensor(train_set.data[take])
-            ids = train_set.module_ids[take] if spec.mode == "cvae" else None
+            ids = train_set.module_ids[take]
             eps = rng.standard_normal((take.size, spec.latent_dim)).astype(np.float32)
             # overflow is detected (and reported) via the loss check, so the
             # intermediate fp warnings are pure noise
@@ -217,7 +216,6 @@ def train(
 def write_run_artifacts(
     out_dir, result: TrainResult, config: TrainConfig, train_set, val_set
 ) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "checkpoint.mwck")
     ckpt_sha256 = save_checkpoint(ckpt_path, result.spec, result.params)
     result.log.save_csv(os.path.join(out_dir, "trainlog.csv"))

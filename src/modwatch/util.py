@@ -1,6 +1,6 @@
 """Small shared helpers: seeded RNG construction, finiteness checks, the
-one worker-thread map with its BLAS thread budget, and the one CSV writer
-every artifact goes through."""
+one worker-thread map with its BLAS thread budget, the one atomic writer
+every artifact goes through, and the CSV writer on top of it."""
 from __future__ import annotations
 
 import csv
@@ -105,10 +105,13 @@ def atomic_open(path, mode: str = "w", newline: str | None = None):
 
     The content goes to a temp file in the same directory, which is moved
     over ``path`` on success and removed on an exception, so ``path`` never
-    holds a half-written file.
+    holds a half-written file.  A missing directory is created first, so a
+    run's output directory appears with its first file.
     """
     path = os.fsdecode(path)
     head, tail = os.path.split(path)
+    if head and not os.path.isdir(head):
+        os.makedirs(head, exist_ok=True)
     tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex[:12]}.tmp")
     try:
         with open(tmp, mode.replace("w", "x"), newline=newline) as fh:

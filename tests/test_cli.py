@@ -592,13 +592,39 @@ def test_exit_code_data_or_checkpoint_is_a_directory(workspace, tmp_path, capsys
     assert "cannot open" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, model_flag", [("eval", "--multi"), ("landscape", "--model")])
-def test_missing_checkpoint_leaves_no_out_dir(workspace, tmp_path, capsys, command, model_flag):
+@pytest.mark.parametrize("code, message, argv", [
+    pytest.param(4, "checkpoint not found",
+                 ("eval", "--multi", "{nowhere}", "--stats", "{cvae}/stats.csv"),
+                 id="eval-missing-checkpoint"),
+    pytest.param(4, "checkpoint not found",
+                 ("landscape", "--model", "{nowhere}", "--stats", "{cvae}/stats.csv"),
+                 id="landscape-missing-checkpoint"),
+    pytest.param(2, "sampled mode needs n_draws >= 2",
+                 ("eval", "--multi", "{cvae}", "--mode", "sampled", "--n-draws", "0"),
+                 id="eval-n-draws-0"),
+    pytest.param(2, "fpr_budget must be in (0, 1]",
+                 ("eval", "--multi", "{cvae}", "--fpr-budget", "2"), id="eval-fpr-budget-2"),
+    pytest.param(2, "resolution must be >= 1",
+                 ("landscape", "--model", "{cvae}", "--res", "0"), id="landscape-res-0"),
+    pytest.param(2, "span must be > 0",
+                 ("landscape", "--model", "{cvae}", "--range", "-1"), id="landscape-range-neg"),
+    pytest.param(2, "count must be >= 1",
+                 ("uq", "--model", "{cvae}", "--examples", "0"), id="uq-examples-0"),
+    pytest.param(2, "n_draws must be >= 2",
+                 ("uq", "--model", "{cvae}", "--n-draws", "1"), id="uq-n-draws-1"),
+    pytest.param(4, "module 7 has no training samples",
+                 ("train", "--mode", "vae", "--module", "7"), id="train-vae-module-7"),
+    pytest.param(2, "--mode vae", ("train", "--mode", "cvae", "--module", "2"),
+                 id="train-cvae-module-2"),
+    pytest.param(2, "max_epochs must be >= 1", ("train", "--epochs", "0"), id="train-epochs-0"),
+])
+def test_refused_run_leaves_no_out_dir(workspace, tmp_path, capsys, code, message, argv):
+    paths = {"cvae": workspace / "cvae", "nowhere": tmp_path / "nowhere"}
+    command, *rest = (arg.format(**paths) for arg in argv)
     out = tmp_path / "never"
-    assert run(command, "--data", str(workspace / "data" / "dataset.mwts"),
-               model_flag, str(tmp_path / "nowhere"),
-               "--stats", str(workspace / "cvae" / "stats.csv"), "--out", str(out)) == 4
-    assert "checkpoint not found" in capsys.readouterr().err
+    assert run(command, "--data", str(workspace / "data" / "dataset.mwts"), *rest,
+               "--out", str(out)) == code
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -82,5 +82,5 @@ def test_random_ini_is_read_or_refused_with_exit_2(tmp_path_factory, lines, tail
         loaded = C.load_config_file(path)
         for section in loaded:
             C.resolve_section(loaded, section)
-    except ConfigError:  # cli.EXIT_CODES: 2
+    except ConfigError:  # exit code 2
         pass

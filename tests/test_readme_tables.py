@@ -1,7 +1,8 @@
 """The README's tables: the columns it lists for each eval summary CSV are
-the keys of the column table its builder returns, and the flags it lists
-for each command are the parser's, so the docs cannot drift from the one
-place each header or flag is declared."""
+the keys of the column table its builder returns, the flags it lists for
+each command are the parser's, and the exit code it gives each error class
+is the class's, so the docs cannot drift from the one place each header,
+flag or code is declared."""
 from __future__ import annotations
 
 import argparse
@@ -13,6 +14,7 @@ import pytest
 
 from modwatch import cli
 from modwatch import data as D
+from modwatch import errors
 from modwatch.evaluate import AnomalyScore, auc_table, compare_methods, summarize
 
 from conftest import stack_scores
@@ -83,3 +85,21 @@ def test_readme_lists_each_command_flag(command):
     sub = _subparsers()[command]
     flags = {s for action in sub._actions for s in action.option_strings}
     assert _readme_command_flags()[command] == flags - COMMON_FLAGS
+
+
+ERROR_CLASSES = [obj for obj in vars(errors).values()
+                 if isinstance(obj, type) and issubclass(obj, errors.ModwatchError)]
+
+
+def _readme_exit_codes() -> list[tuple[str, int]]:
+    """The Exit codes paragraph's "`N` ... (`SomeError` ...)" -> [("SomeError", N)]."""
+    text = README.read_text()
+    paragraph = text[text.index("Exit codes"):text.index("Failures print")]
+    parts = re.split(r"`(\d)`\s", paragraph)
+    names = {cls.__name__ for cls in ERROR_CLASSES}
+    return [(name, int(code)) for code, segment in zip(parts[1::2], parts[2::2])
+            for name in re.findall(r"`(\w+)`", segment) if name in names]
+
+
+def test_readme_gives_each_error_class_its_exit_code():
+    assert sorted(_readme_exit_codes()) == sorted((c.__name__, c.exit_code) for c in ERROR_CLASSES)

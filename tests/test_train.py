@@ -65,19 +65,15 @@ def constant_waveforms(n, time_steps, channels, seed=5, id_offset=0):
 
 
 class TestTrainBasics:
-    def test_zero_epochs_returns_initialized_parameters_and_empty_log(self):
+    def test_zero_epochs_is_refused(self, tmp_path):
+        # no epoch would leave the untrained weights as the "best" checkpoint
         spec = tiny_spec()
         tr = toy_waveforms(8)
         va = toy_waveforms(4, id_offset=100)
-        cfg = TrainConfig(batch_size=4, max_epochs=0, seed=11)
-        res = train(spec, tr, va, cfg)
-        assert res.log.epochs == []
-        assert res.log.best_epoch == 0
-        ref = M.init_parameters(spec, 11)
-        for (name, t1), (_, t2) in zip(
-            res.params.named_tensors(), ref.named_tensors()
-        ):
-            assert np.array_equal(t1.data, t2.data), name
+        with pytest.raises(ConfigError, match="max_epochs must be >= 1"):
+            train(spec, tr, va, TrainConfig(batch_size=4, max_epochs=0, seed=11),
+                  out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_loss_decreases_on_toy_data(self):
         spec = tiny_spec()

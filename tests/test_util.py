@@ -1,5 +1,6 @@
-"""The worker-thread map's BLAS thread budget, the finiteness check, and
-hashing or writing arrays without a copy."""
+"""The worker-thread map's BLAS thread budget, the finiteness check,
+hashing or writing arrays without a copy, and the atomic writer's
+directory."""
 import hashlib
 import io
 import threading
@@ -159,3 +160,11 @@ def test_checkpoint_written_without_copies():
         ser.sha256_hex(lambda fh: save_checkpoint(fh, spec, params))))
     assert digest == [hashlib.sha256(buf.getvalue()).hexdigest()]
     assert peak < nbytes / 16
+
+
+def test_atomic_open_creates_a_missing_parent_directory(tmp_path):
+    path = tmp_path / "run" / "nested" / "out.txt"
+    with util.atomic_open(path) as fh:
+        fh.write("ok\n")
+    assert path.read_text() == "ok\n"
+    assert sorted(p.name for p in path.parent.iterdir()) == ["out.txt"]
