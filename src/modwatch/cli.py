@@ -325,29 +325,25 @@ def _depth_stage(out, spec: M.ModelSpec, parts: _Splits, tc: TrainConfig, ls: di
                  jobs: int) -> None:
     """Retrain at each ``[landscape] depths`` conv depth and write every
     loss surface and the convexity report."""
-    sweep = L.depth_sweep(
-        ls["depths"],
-        spec,
-        parts.train,
-        parts.val_normal,
-        tc,
-        direction_seeds=(ls["gamma_seed"], ls["nu_seed"]),
-        resolution=ls["resolution"],
-        span=ls["span"],
-        surface_data=parts.surface(ls["dataset_split"]),
-        batch_size=ls["batch_size"],
-        jobs=jobs,
-    )
+    sweep = L.depth_sweep(ls["depths"], spec, parts.train, parts.val_normal, tc,
+                          (ls["gamma_seed"], ls["nu_seed"]), ls["resolution"], ls["span"],
+                          parts.surface(ls["dataset_split"]), ls["batch_size"], jobs)
+    _write_surfaces(out, {f"depth{d}": sweep[d] for d in sorted(sweep)}, ls["resolution"])
+
+
+def _write_surfaces(out, surfaces: dict[str, L.Surface], resolution: int) -> None:
+    """Each surface's grid as ``landscape_<tag>.csv`` and, at a resolution
+    with convexity reports, the reports as ``report.csv``."""
     rows = []
-    for depth, res in sorted(sweep.items()):
-        tag = f"depth{depth}"
-        L.write_landscape_csv(os.path.join(out, f"landscape_{tag}.csv"), res.grid)
-        rows.append(L.convexity_row(tag, res.grid, res.report))
-        print(
-            f"depth {depth}: psd {res.report.psd_fraction:.3f} "
-            f"center {res.grid.center_loss:.6g}"
-        )
-    L.write_convexity_csv(os.path.join(out, "report.csv"), rows)
+    for tag, surface in surfaces.items():
+        L.write_landscape_csv(os.path.join(out, f"landscape_{tag}.csv"), surface.grid)
+        line = f"{tag}: center {surface.grid.center_loss!r}"
+        if surface.report is not None:
+            rows.append(L.convexity_row(tag, surface.grid, surface.report))
+            line += f" psd {surface.report.psd_fraction:.3f}"
+        print(line)
+    if resolution >= L.REPORT_RESOLUTION:
+        L.write_convexity_csv(os.path.join(out, "report.csv"), rows)
 
 
 def _calibration_stage(out, spec: M.ModelSpec, params, normals: D.WaveformTensor,
@@ -500,29 +496,10 @@ def cmd_landscape(args) -> int:
     if args.depth_sweep:
         _depth_stage(args.out, spec, parts, tc, ls, jobs)
     else:
-        surface_data = parts.surface(ls["dataset_split"])
-        gamma = L.random_direction(params, ls["gamma_seed"], tag="gamma")
-        nu = L.random_direction(params, ls["nu_seed"], tag="nu")
-        grid = L.evaluate_grid(
-            params,
-            spec,
-            gamma,
-            nu,
-            surface_data,
-            resolution=ls["resolution"],
-            span=ls["span"],
-            eta=tc.eta,
-            batch_size=ls["batch_size"],
-            jobs=jobs,
-        )
-        L.write_landscape_csv(os.path.join(args.out, "landscape_main.csv"), grid)
-        print(f"center loss {grid.center_loss!r}")
-        if ls["resolution"] >= 5:
-            report = L.convexity_report(grid)
-            L.write_convexity_csv(
-                os.path.join(args.out, "report.csv"), [L.convexity_row("main", grid, report)]
-            )
-            print(f"psd fraction {report.psd_fraction:.3f}")
+        surface = L.map_surface(params, spec, parts.surface(ls["dataset_split"]),
+                                (ls["gamma_seed"], ls["nu_seed"]), ls["resolution"],
+                                ls["span"], tc.eta, ls["batch_size"], jobs)
+        _write_surfaces(args.out, {"main": surface}, ls["resolution"])
 
     _write_resolved(
         args.out,

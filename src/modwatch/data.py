@@ -636,10 +636,12 @@ def load_dataset(path) -> WaveformTensor:
         if version != VERSION:
             raise DataError(f"unsupported waveform tensor version {version}")
         n, steps, chans = (ser.read_u32(fh) for _ in range(3))
+        ser.check_left(fh, 4 * chans, f"channel-name table of {chans} names")
         channel_names = tuple(ser.read_str(fh) for _ in range(chans))
         raw = ser.read_exact(fh, 2 * n, "module id array")
         module_ids = np.frombuffer(raw, dtype="<u2").astype(np.int32)
         n_labels = ser.read_u32(fh)
+        ser.check_left(fh, 4 * n_labels, f"label-name table of {n_labels} names")
         label_names = [ser.read_str(fh) for _ in range(n_labels)]
         label_codes = np.frombuffer(ser.read_exact(fh, n, "label array"), dtype="<u1")
         if label_codes.size and int(label_codes.max()) >= n_labels:

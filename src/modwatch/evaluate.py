@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as M
-from .data import WaveformTensor
+from .data import NORMAL_LABEL, WaveformTensor
 from .errors import ConfigError, DataError, ShapeError
 from .model import ModelParameters, ModelSpec
 from .tensor import Tensor
@@ -281,13 +281,11 @@ def summarize(scores: ScoreTable, channel_names: list[str]) -> tuple[dict, dict]
     return box, density
 
 
-def auc_table(
-    scores: ScoreTable, channel_names: list[str], normal_label: str = "normal"
-) -> dict:
+def auc_table(scores: ScoreTable, channel_names: list[str]) -> dict:
     """Per fault class: aggregate AUC pooled and per module, plus
     per-channel AUCs ranked by detection strength, as a column table."""
     modules, labels = scores.module_id, scores.label
-    normal = labels == normal_label
+    normal = labels == NORMAL_LABEL
     if not normal.any():
         raise DataError("no normal samples to compare against")
     names, values = _named_values(scores, channel_names)
@@ -320,11 +318,7 @@ def _method_auc(scores: ScoreTable, neg, pos) -> tuple[float, float | None]:
     return auc, float(_rank_auc(replicas[neg], replicas[pos]).std())
 
 
-def compare_methods(
-    multi_scores: ScoreTable,
-    single_scores: dict[int, ScoreTable],
-    normal_label: str = "normal",
-) -> dict:
+def compare_methods(multi_scores: ScoreTable, single_scores: dict[int, ScoreTable]) -> dict:
     """AUC of the multi-module model vs the per-module models on the same
     test set, one row per (fault class, module), as a column table; cells
     without fault or normal samples are marked absent (None) rather than
@@ -340,9 +334,9 @@ def compare_methods(
 
     table = {key: [] for key in ("fault", "module", "n_normal", "n_abnormal", "auc_multi",
                                  "sd_multi", "auc_single", "sd_single", "delta")}
-    for fault in np.unique(labels[labels != normal_label]).tolist():
+    for fault in np.unique(labels[labels != NORMAL_LABEL]).tolist():
         for m in present:
-            neg = (modules == m) & (labels == normal_label)
+            neg = (modules == m) & (labels == NORMAL_LABEL)
             pos = (modules == m) & (labels == fault)
             n_neg, n_pos = int(neg.sum()), int(pos.sum())
             multi = single = (None, None)
@@ -350,7 +344,7 @@ def compare_methods(
             if n_neg and n_pos:
                 s = single_scores[m]
                 multi = _method_auc(multi_scores, neg, pos)
-                single = _method_auc(s, s.label == normal_label, s.label == fault)
+                single = _method_auc(s, s.label == NORMAL_LABEL, s.label == fault)
                 delta = multi[0] - single[0]
             row = (fault, m, n_neg, n_pos, *multi, *single, delta)
             for column, cell in zip(table.values(), row, strict=True):

@@ -4,7 +4,8 @@ Directions are drawn per layer and rescaled so every conv filter and dense
 row matches the Frobenius norm of the corresponding weight unit; biases
 are not moved.  Grid cells are independent, evaluated with the latent
 noise frozen to zero, and may be computed by any number of workers without
-changing a single bit of the result.
+changing a single bit of the result.  Every surface, one model's or a
+depth sweep's, is mapped by :func:`map_surface`.
 """
 from __future__ import annotations
 
@@ -17,19 +18,21 @@ from .errors import ConfigError, DataError, NumericError, ShapeError
 from .model import ModelParameters, ModelSpec
 from .tensor import DTYPE
 from .train import TrainConfig, dataset_loss, train
-from .util import parallel_map, seeded_rng, sha256_bytes, write_csv
+from .util import parallel_map, seeded_rng, write_csv
 
 _DIRECTION_TAG = 0xD1A
+
+# the smallest grid side the convexity report's 5-point stencil and rays need
+REPORT_RESOLUTION = 5
 
 
 @dataclass
 class Direction:
     layers: dict[str, np.ndarray]  # layer name -> kernel direction; biases are not moved
     seed: int
-    tag: str = "gamma"
 
 
-def random_direction(params: ModelParameters, seed: int, tag: str = "gamma") -> Direction:
+def random_direction(params: ModelParameters, seed: int) -> Direction:
     """Standard-normal draw per weight entry, filter-normalized to the
     parameters; zero-norm weight units yield zero direction units."""
     rng = seeded_rng(seed, _DIRECTION_TAG)
@@ -37,7 +40,7 @@ def random_direction(params: ModelParameters, seed: int, tag: str = "gamma") -> 
         name: rng.standard_normal(lw.kernels.data.shape).astype(DTYPE)
         for name, lw in params.layers.items()
     }
-    return normalize_direction(Direction(layers=layers, seed=seed, tag=tag), params)
+    return normalize_direction(Direction(layers=layers, seed=seed), params)
 
 
 def _check_dims(direction: Direction, params: ModelParameters) -> None:
@@ -64,7 +67,7 @@ def normalize_direction(direction: Direction, params: ModelParameters) -> Direct
         out = (src.astype(np.float64) * scale.reshape(-1, *[1] * (src.ndim - 1))).astype(DTYPE)
         out[~live] = 0.0
         layers[name] = out
-    return Direction(layers=layers, seed=direction.seed, tag=direction.tag)
+    return Direction(layers=layers, seed=direction.seed)
 
 
 def unit_norms(arr: np.ndarray) -> np.ndarray:
@@ -79,13 +82,7 @@ class LandscapeGrid:
     betas: np.ndarray  # (resolution,)
     losses: np.ndarray  # (resolution, resolution), row=alpha, col=beta; inf = overflow
     center_loss: float
-    resolution: int
-    span: float
     eta: float
-    n_samples: int
-    dataset_checksum: str
-    gamma_seed: int
-    nu_seed: int
 
     @property
     def overflowed(self) -> np.ndarray:
@@ -122,22 +119,12 @@ def evaluate_grid(
     """
     if gamma.seed == nu.seed:
         raise ConfigError("gamma and nu must come from different seeds")
-    if resolution < 1:
-        raise ConfigError(f"resolution must be >= 1, got {resolution}")
-    if span <= 0:
-        raise ConfigError(f"span must be > 0, got {span}")
+    axis = grid_axis(resolution, span)
     data.validate()
     if data.n_samples == 0:
         raise DataError("landscape data is empty")
     _check_dims(gamma, params)
     _check_dims(nu, params)
-
-    if resolution == 1:
-        alphas = np.zeros(1)
-        betas = np.zeros(1)
-    else:
-        alphas = np.linspace(-span, span, resolution)
-        betas = np.linspace(-span, span, resolution)
 
     def _cell(alpha: float, beta: float) -> float:
         shifted = _offset_parameters(params, gamma, nu, float(alpha), float(beta))
@@ -147,26 +134,25 @@ def evaluate_grid(
             except NumericError:
                 return float("inf")
 
-    cells = [(i, j) for i in range(resolution) for j in range(resolution)]
-    values = parallel_map(lambda ij: _cell(alphas[ij[0]], betas[ij[1]]), cells, jobs)
-
-    losses = np.empty((resolution, resolution), dtype=np.float64)
-    for (i, j), v in zip(cells, values):
-        losses[i, j] = v
-
+    cells = [(alpha, beta) for alpha in axis for beta in axis]
+    losses = np.array(parallel_map(lambda ab: _cell(*ab), cells, jobs), dtype=np.float64)
     return LandscapeGrid(
-        alphas=alphas,
-        betas=betas,
-        losses=losses,
+        alphas=axis,
+        betas=axis,
+        losses=losses.reshape(resolution, resolution),
         center_loss=_cell(0.0, 0.0),
-        resolution=resolution,
-        span=span,
         eta=eta,
-        n_samples=data.n_samples,
-        dataset_checksum=sha256_bytes(np.ascontiguousarray(data.data)),
-        gamma_seed=gamma.seed,
-        nu_seed=nu.seed,
     )
+
+
+def grid_axis(resolution: int, span: float) -> np.ndarray:
+    """The alpha (and beta) values of a grid: ``resolution`` points from
+    ``-span`` to ``span``, or the centre alone at resolution 1."""
+    if resolution < 1:
+        raise ConfigError(f"resolution must be >= 1, got {resolution}")
+    if span <= 0:
+        raise ConfigError(f"span must be > 0, got {span}")
+    return np.zeros(1) if resolution == 1 else np.linspace(-span, span, resolution)
 
 
 @dataclass
@@ -188,9 +174,9 @@ def convexity_report(grid: LandscapeGrid) -> ConvexityReport:
     nonnegative and all five stencil values are finite; overflowed cells
     therefore count against convexity.
     """
-    r = grid.resolution
-    if r < 5:
-        raise ConfigError(f"convexity report needs resolution >= 5, got {r}")
+    r = grid.losses.shape[0]
+    if r < REPORT_RESOLUTION:
+        raise ConfigError(f"convexity report needs resolution >= {REPORT_RESOLUTION}, got {r}")
     f = grid.losses
     center = f[1:-1, 1:-1]
     with np.errstate(all="ignore"):
@@ -238,11 +224,29 @@ def convexity_report(grid: LandscapeGrid) -> ConvexityReport:
 
 
 @dataclass
-class DepthResult:
-    depth: int
+class Surface:
     grid: LandscapeGrid
-    report: ConvexityReport
-    best_validation_total: float
+    report: ConvexityReport | None  # None below REPORT_RESOLUTION
+
+
+def map_surface(
+    params: ModelParameters,
+    spec: ModelSpec,
+    data: WaveformTensor,
+    direction_seeds: tuple[int, int] = (101, 202),
+    resolution: int = 25,
+    span: float = 1.0,
+    eta: float = 1.0,
+    batch_size: int = 64,
+    jobs: int = 1,
+) -> Surface:
+    """The loss surface of ``params`` on ``data`` over the two directions
+    drawn from ``direction_seeds``, with its convexity report when the grid
+    is large enough for one."""
+    gamma = random_direction(params, direction_seeds[0])
+    nu = random_direction(params, direction_seeds[1])
+    grid = evaluate_grid(params, spec, gamma, nu, data, resolution, span, eta, batch_size, jobs)
+    return Surface(grid, convexity_report(grid) if resolution >= REPORT_RESOLUTION else None)
 
 
 def depth_sweep(
@@ -257,41 +261,23 @@ def depth_sweep(
     surface_data: WaveformTensor | None = None,
     batch_size: int = 64,
     jobs: int = 1,
-) -> dict[int, DepthResult]:
+) -> dict[int, Surface]:
     """Train one model per conv-block depth (identical seed and data) and
-    compute its loss surface; all other settings held constant.
+    map its loss surface; all other settings held constant.  Every setting
+    is checked before the first model trains.
 
     Surfaces default to the training split.
     """
     if direction_seeds[0] == direction_seeds[1]:
         raise ConfigError("direction seeds must differ")
+    grid_axis(resolution, span)
+    specs = {int(depth): spec.with_depth(int(depth)) for depth in depths}
     data = train_set if surface_data is None else surface_data
-    out: dict[int, DepthResult] = {}
-    for depth in depths:
-        if depth in out:
-            continue
-        deep_spec = spec.with_depth(int(depth))
-        result = train(deep_spec, train_set, val_set, config)
-        gamma = random_direction(result.params, direction_seeds[0], tag="gamma")
-        nu = random_direction(result.params, direction_seeds[1], tag="nu")
-        grid = evaluate_grid(
-            result.params,
-            deep_spec,
-            gamma,
-            nu,
-            data,
-            resolution=resolution,
-            span=span,
-            eta=config.eta,
-            batch_size=batch_size,
-            jobs=jobs,
-        )
-        out[int(depth)] = DepthResult(
-            depth=int(depth),
-            grid=grid,
-            report=convexity_report(grid),
-            best_validation_total=result.log.best_validation_total(),
-        )
+    out = {}
+    for depth, deep_spec in specs.items():
+        params = train(deep_spec, train_set, val_set, config).params
+        out[depth] = map_surface(params, deep_spec, data, direction_seeds, resolution, span,
+                                 config.eta, batch_size, jobs)
     return out
 
 

@@ -18,6 +18,11 @@ from .tensor import DTYPE
 # its gradient and both work buffers fit in L2 together
 CHUNK = 32768
 
+# the moment decay rates and the denominator's floor, as Kingma & Ba give them
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -27,9 +32,6 @@ class AdamState:
 
     size: int
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray = field(init=False, repr=False, compare=False)
     v: np.ndarray = field(init=False, repr=False, compare=False)
@@ -62,12 +64,12 @@ def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState) -> None:
         raise NumericError("adam: non-finite gradient")
     state.step += 1
     t = state.step
-    b1, b2 = DTYPE(state.beta1), DTYPE(state.beta2)
+    b1, b2 = DTYPE(BETA1), DTYPE(BETA2)
     one_b1, one_b2 = DTYPE(1) - b1, DTYPE(1) - b2
     lr = DTYPE(state.learning_rate)
-    eps = DTYPE(state.eps)
-    c1 = DTYPE(1.0 - state.beta1**t)
-    c2 = DTYPE(1.0 - state.beta2**t)
+    eps = DTYPE(EPS)
+    c1 = DTYPE(1.0 - BETA1**t)
+    c2 = DTYPE(1.0 - BETA2**t)
     work_a, work_b = state.work
     # views of the contiguous arrays: writes through them land in place
     flat_p, flat_g = p.reshape(-1), g.reshape(-1)

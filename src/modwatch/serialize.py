@@ -85,6 +85,7 @@ def write_kv_block(fh, kv: dict[str, str]) -> None:
 
 def read_kv_block(fh) -> dict[str, str]:
     n = read_u32(fh)
+    check_left(fh, 8 * n, f"key-value table of {n} entries")  # two length prefixes each
     return {read_str(fh): read_str(fh) for _ in range(n)}
 
 

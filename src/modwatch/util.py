@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 
 
 def seeded_rng(*entropy: int) -> np.random.Generator:
@@ -84,12 +84,6 @@ def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def sha256_bytes(payload) -> str:
-    """SHA-256 hex digest of ``payload``: bytes, or any C-contiguous buffer
-    such as an array, hashed in place."""
-    return hashlib.sha256(payload).hexdigest()
-
-
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -106,15 +100,21 @@ def atomic_open(path, mode: str = "w", newline: str | None = None):
     The content goes to a temp file in the same directory, which is moved
     over ``path`` on success and removed on an exception, so ``path`` never
     holds a half-written file.  A missing directory is created first, so a
-    run's output directory appears with its first file.
+    run's output directory appears with its first file.  A directory or temp
+    file that cannot be created (the directory names a file, say) is a
+    ``ConfigError``.
     """
     path = os.fsdecode(path)
     head, tail = os.path.split(path)
-    if head and not os.path.isdir(head):
-        os.makedirs(head, exist_ok=True)
     tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex[:12]}.tmp")
     try:
-        with open(tmp, mode.replace("w", "x"), newline=newline) as fh:
+        if head and not os.path.isdir(head):
+            os.makedirs(head, exist_ok=True)
+        fh = open(tmp, mode.replace("w", "x"), newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -501,7 +501,7 @@ def test_criterion_07_landscape_exactness():
             sample_ids=np.arange(12),
         ).validate()
         gamma = L.random_direction(params, seed=101)
-        nu = L.random_direction(params, seed=202, tag="nu")
+        nu = L.random_direction(params, seed=202)
 
         from modwatch.train import dataset_loss
 
@@ -619,7 +619,7 @@ def test_criterion_10_determinism_and_formats(tmp_path):
         assert checkpoint_bytes(spec, r1.params) == checkpoint_bytes(spec, r2.params)
 
         gamma = L.random_direction(r1.params, seed=101)
-        nu = L.random_direction(r1.params, seed=202, tag="nu")
+        nu = L.random_direction(r1.params, seed=202)
         for name in ("g1.csv", "g2.csv"):
             grid = L.evaluate_grid(
                 r1.params, spec, gamma, nu, train_std, resolution=5, span=0.5

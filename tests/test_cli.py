@@ -295,6 +295,46 @@ def test_landscape_depth_sweep(workspace, tmp_path):
     assert rows[1].startswith("depth2,")
 
 
+def _sweep(workspace, tmp_path, ini: str, *flags) -> int:
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(ini + "\n[train]\nmax_epochs = 1\nbatch_size = 8\n")
+    return run("landscape", "--data", str(workspace / "data" / "dataset.mwts"),
+               "--model", str(workspace / "cvae"), "--out", str(tmp_path / "sweep"),
+               "--depth-sweep", "--config", str(cfg), "--seed", "7", *flags)
+
+
+@pytest.mark.parametrize("ini, flags, message", [
+    ("[landscape]\ndepths = 2\n", ("--res", "0"), "resolution must be >= 1"),
+    ("[landscape]\ndepths = 2\n", ("--range", "0"), "span must be > 0"),
+    ("[landscape]\ndepths = 2,0\nresolution = 5\n", (), "encoder_conv_blocks"),
+], ids=["res-0", "range-0", "depth-0"])
+def test_depth_sweep_refuses_bad_settings_before_training(workspace, tmp_path, capsys,
+                                                          monkeypatch, ini, flags, message):
+    def no_training(*args, **kwargs):
+        raise AssertionError("the sweep trained before checking its settings")
+
+    monkeypatch.setattr("modwatch.landscape.train", no_training)
+    assert _sweep(workspace, tmp_path, ini, *flags) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_depth_sweep_below_report_resolution_writes_surfaces_only(workspace, tmp_path):
+    assert _sweep(workspace, tmp_path, "[landscape]\ndepths = 2,3\n", "--res", "3") == 0
+    out = tmp_path / "sweep"
+    assert sorted(p.name for p in out.glob("landscape_*.csv")) == [
+        "landscape_depth2.csv", "landscape_depth3.csv"]
+    assert not (out / "report.csv").exists()
+
+
+def test_depth_sweep_without_depths_writes_a_header_only_report(workspace, tmp_path):
+    assert _sweep(workspace, tmp_path, "[landscape]\ndepths =\nresolution = 5\n") == 0
+    out = tmp_path / "sweep"
+    assert (out / "report.csv").read_text().startswith("tag,psd_fraction,")
+    assert len((out / "report.csv").read_text().splitlines()) == 1
+    assert not list(out.glob("landscape_*.csv"))
+
+
 def test_uq_writes_calibration_and_bands(workspace, tmp_path):
     data = workspace / "data" / "dataset.mwts"
     out = tmp_path / "uq"
@@ -617,15 +657,24 @@ def test_exit_code_data_or_checkpoint_is_a_directory(workspace, tmp_path, capsys
     pytest.param(2, "--mode vae", ("train", "--mode", "cvae", "--module", "2"),
                  id="train-cvae-module-2"),
     pytest.param(2, "max_epochs must be >= 1", ("train", "--epochs", "0"), id="train-epochs-0"),
+    # a later --out wins over the one every case is given
+    pytest.param(2, "File exists", ("train", "--out", "{afile}"), id="train-out-names-a-file"),
+    pytest.param(2, "Not a directory", ("train", "--out", "{afile}/sub"),
+                 id="train-out-under-a-file"),
 ])
 def test_refused_run_leaves_no_out_dir(workspace, tmp_path, capsys, code, message, argv):
-    paths = {"cvae": workspace / "cvae", "nowhere": tmp_path / "nowhere"}
+    (tmp_path / "afile").write_text("kept\n")
+    paths = {"cvae": workspace / "cvae", "nowhere": tmp_path / "nowhere",
+             "afile": tmp_path / "afile"}
     command, *rest = (arg.format(**paths) for arg in argv)
     out = tmp_path / "never"
-    assert run(command, "--data", str(workspace / "data" / "dataset.mwts"), *rest,
-               "--out", str(out)) == code
+    before = sorted(tmp_path.rglob("*"))
+    assert run(command, "--data", str(workspace / "data" / "dataset.mwts"),
+               "--out", str(out), *rest) == code
     assert message in capsys.readouterr().err
     assert not out.exists()
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 def test_exit_code_dataset_name_not_utf8(workspace, tmp_path, capsys):

@@ -425,6 +425,17 @@ class TestWaveformFiles:
         with pytest.raises(DataError, match="truncated"):
             D.load_dataset(io.BytesIO(bytes(blob)))
 
+    @pytest.mark.parametrize("table", ["channel-name", "label-name"])
+    def test_huge_name_count_raises_before_reading(self, small_set, table):
+        blob = bytearray(D.dataset_bytes(small_set))
+        offset = 16  # the channel count
+        if table == "label-name":  # past the channel names and the module ids
+            offset = 20 + sum(4 + len(c.encode()) for c in small_set.channel_names)
+            offset += 2 * small_set.n_samples
+        struct.pack_into("<I", blob, offset, 2**32 - 1)
+        with pytest.raises(DataError, match=f"{table} table of 4294967295 names"):
+            D.load_dataset(io.BytesIO(bytes(blob)))
+
     def test_channel_name_must_be_utf8(self, small_set):
         blob = bytearray(D.dataset_bytes(small_set))
         blob[24] = 0xFF  # first byte of the first channel name

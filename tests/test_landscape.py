@@ -1,7 +1,5 @@
 """Loss-surface geometry: direction normalization, grid determinism,
 convexity diagnostics."""
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -96,7 +94,7 @@ class TestDirections:
         params = M.init_parameters(tiny_spec(), 0)
         for lw in params.layers.values():
             lw.bias.data[:] = 0.25
-        g, n = random_direction(params, 7), random_direction(params, 8, tag="nu")
+        g, n = random_direction(params, 7), random_direction(params, 8)
         moved = _offset_parameters(params, g, n, 0.5, -0.25)
         for name, lw in params.layers.items():
             assert g.layers[name].shape == lw.kernels.data.shape
@@ -142,8 +140,8 @@ class TestGrid:
         spec = tiny_spec()
         params = M.init_parameters(spec, seed)
         data = toy_set(seed=seed)
-        g = random_direction(params, 11, tag="gamma")
-        n = random_direction(params, 22, tag="nu")
+        g = random_direction(params, 11)
+        n = random_direction(params, 22)
         return spec, params, data, g, n
 
     def test_center_cell_matches_center_loss_bitwise(self):
@@ -174,7 +172,7 @@ class TestGrid:
 
     def test_collinear_directions_constant_on_antidiagonals(self):
         spec, params, data, g, _ = self._setup(seed=2)
-        same = Direction(layers=g.layers, seed=g.seed + 1, tag="nu")
+        same = Direction(layers=g.layers, seed=g.seed + 1)
         grid = evaluate_grid(params, spec, g, same, data, resolution=5)
         f = grid.losses
         for offset in range(-4, 5):
@@ -195,13 +193,12 @@ class TestGrid:
         params = M.init_parameters(spec, 5)
         data = toy_set(n=6, time_steps=spec.time_steps, channels=spec.channels,
                        modules=spec.module_count, seed=5)
-        g = random_direction(params, 11, tag="gamma")
-        n = random_direction(params, 22, tag="nu")
+        g = random_direction(params, 11)
+        n = random_direction(params, 22)
         serial = evaluate_grid(params, spec, g, n, data, resolution=2, jobs=1)
         threaded = evaluate_grid(params, spec, g, n, data, resolution=2, jobs=2)
         assert np.array_equal(serial.losses, threaded.losses)
         assert serial.center_loss == threaded.center_loss
-        assert serial.dataset_checksum == hashlib.sha256(data.data.tobytes()).hexdigest()
 
     def test_overflow_marked_not_raised(self):
         spec, params, data, g, n = self._setup(seed=4)
@@ -209,14 +206,14 @@ class TestGrid:
             t.data *= 60.0
         data.data *= 100.0
         g = random_direction(params, 11)
-        n = random_direction(params, 22, tag="nu")
+        n = random_direction(params, 22)
         grid = evaluate_grid(params, spec, g, n, data, resolution=5)
         assert grid.overflowed.any()
         assert np.all(np.isinf(grid.losses[grid.overflowed]))
 
     def test_same_direction_seeds_rejected(self):
         spec, params, data, g, _ = self._setup()
-        clone = Direction(layers=g.layers, seed=g.seed, tag="nu")
+        clone = Direction(layers=g.layers, seed=g.seed)
         with pytest.raises(ConfigError, match="seed"):
             evaluate_grid(params, spec, g, clone, data)
 
@@ -246,13 +243,7 @@ def analytic_grid(fn, resolution=9, span=1.0):
         betas=betas,
         losses=f,
         center_loss=fn(0.0, 0.0),
-        resolution=resolution,
-        span=span,
         eta=1.0,
-        n_samples=1,
-        dataset_checksum="",
-        gamma_seed=1,
-        nu_seed=2,
     )
 
 
@@ -324,8 +315,8 @@ class TestDepthSweep:
 
         deep = spec.with_depth(2)
         res = train(deep, tr, va, cfg)
-        g = random_direction(res.params, 101, tag="gamma")
-        n = random_direction(res.params, 202, tag="nu")
+        g = random_direction(res.params, 101)
+        n = random_direction(res.params, 202)
         grid = evaluate_grid(res.params, deep, g, n, tr, resolution=5, eta=cfg.eta)
         assert np.array_equal(swept.grid.losses, grid.losses)
         assert swept.report == convexity_report(grid)

@@ -395,6 +395,13 @@ class TestCheckpoints:
         with pytest.raises(DataError):
             load_checkpoint(path)
 
+    def test_huge_spec_entry_count_raises_before_reading(self):
+        spec = tiny_spec("vae")
+        blob = bytearray(checkpoint_bytes(spec, M.init_parameters(spec, seed=1)))
+        blob[8:12] = b"\xff" * 4  # the spec block's entry count, after magic and version
+        with pytest.raises(DataError, match="key-value table of 4294967295 entries"):
+            load_checkpoint(io.BytesIO(bytes(blob)))
+
     def test_trailing_bytes_raise(self, rng, tmp_path):
         spec = tiny_spec("vae")
         blob = checkpoint_bytes(spec, M.init_parameters(spec, seed=1))

@@ -87,8 +87,8 @@ def _run(tmp_path, jobs: int = 1) -> dict[str, str]:
                      n_draws=3, seed=SEED, jobs=jobs)
     out["replicate"] = _sha(reps.draws.tobytes())
 
-    gamma = L.random_direction(params, SEED, "gamma")
-    nu = L.random_direction(params, SEED + 1, "nu")
+    gamma = L.random_direction(params, SEED)
+    nu = L.random_direction(params, SEED + 1)
     grid = L.evaluate_grid(params, SPEC, gamma, nu, val_normal, resolution=5,
                            span=6.0, batch_size=4, jobs=jobs)
     out["landscape"] = _sha(grid.losses.tobytes() + np.float64(grid.center_loss).tobytes())

@@ -11,7 +11,7 @@ import pytest
 from modwatch import model as M
 from modwatch import tensor as T
 from modwatch.errors import NumericError, ShapeError
-from modwatch.optim import CHUNK, AdamState, adam_step
+from modwatch.optim import BETA1, BETA2, CHUNK, EPS, AdamState, adam_step
 from modwatch.tensor import DTYPE, Tensor
 
 
@@ -98,11 +98,11 @@ def reference_adam_step(p: np.ndarray, g: np.ndarray, state: AdamState) -> None:
         raise NumericError("adam: non-finite gradient")
     state.step += 1
     t = state.step
-    b1, b2 = DTYPE(state.beta1), DTYPE(state.beta2)
+    b1, b2 = DTYPE(BETA1), DTYPE(BETA2)
     lr = DTYPE(state.learning_rate)
-    eps = DTYPE(state.eps)
-    c1 = DTYPE(1.0 - state.beta1**t)
-    c2 = DTYPE(1.0 - state.beta2**t)
+    eps = DTYPE(EPS)
+    c1 = DTYPE(1.0 - BETA1**t)
+    c2 = DTYPE(1.0 - BETA2**t)
     m, v = state.m.reshape(p.shape), state.v.reshape(p.shape)
     m *= b1
     m += (DTYPE(1) - b1) * g

@@ -80,9 +80,7 @@ def _grid(rng):
     losses = (axis[:, None] ** 2 + axis[None, :] ** 2) * 3.0 + rng.random((r, r)) / 7.0
     losses[0, 4] = np.inf
     return LandscapeGrid(
-        alphas=axis, betas=axis, losses=losses, center_loss=float(losses[2, 2]),
-        resolution=r, span=1.0, eta=1.0, n_samples=12, dataset_checksum="0" * 64,
-        gamma_seed=101, nu_seed=202,
+        alphas=axis, betas=axis, losses=losses, center_loss=float(losses[2, 2]), eta=1.0,
     )
 
 
